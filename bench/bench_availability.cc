@@ -326,7 +326,8 @@ int main(int argc, char** argv) {
     printf("%-9s %-18s %7.1fms %7.1fms %8.1fms %7.1fms %7.1fms\n",
            r.system.c_str(), r.event.c_str(), r.detect_ms, r.elect_ms,
            r.promote_ms, r.warm_ms, r.total_ms);
-    json.Line("{\"phase\":\"mttr\",\"system\":\"%s\",\"event\":\"%s\","
+    json.Line("{\"bench\":\"availability\",\"phase\":\"mttr\","
+              "\"system\":\"%s\",\"event\":\"%s\","
               "\"detect_ms\":%.2f,\"elect_ms\":%.2f,\"promote_ms\":%.2f,"
               "\"warm_ms\":%.2f,\"total_ms\":%.2f}",
               r.system.c_str(), r.event.c_str(), r.detect_ms, r.elect_ms,
@@ -344,7 +345,8 @@ int main(int argc, char** argv) {
     printf("%-9s %10llu %10llu %8.0fms %13.3f%%\n", name,
            static_cast<unsigned long long>(tr.ok),
            static_cast<unsigned long long>(tr.failed), outage_ms, avail);
-    json.Line("{\"phase\":\"availability\",\"system\":\"%s\","
+    json.Line("{\"bench\":\"availability\",\"phase\":\"availability\","
+              "\"system\":\"%s\","
               "\"window_ms\":%.1f,\"ping_ok\":%llu,\"ping_failed\":%llu,"
               "\"unavailable_ms\":%.1f,\"availability_pct\":%.3f}",
               name, tr.window_us / 1e3,

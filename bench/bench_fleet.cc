@@ -147,7 +147,7 @@ struct PhaseResult {
   uint64_t failures = 0;
   uint64_t scans_forwarded = 0;
   uint64_t scans_shed = 0;  // gateway quota/backoff/hold-off sheds, abuser
-  double wall_ms = 0;
+  double sim_ms = 0;
 };
 
 PhaseResult MeasureIsolation(const Params& p, int tenants, bool qos,
@@ -186,7 +186,7 @@ PhaseResult MeasureIsolation(const Params& p, int tenants, bool qos,
       }
     }
     co_await readers_wg.Wait();
-    r.wall_ms = static_cast<double>(sim.now() - t0) / 1e3;
+    r.sim_ms = static_cast<double>(sim.now() - t0) / 1e3;
     stop = true;
     if (scans && tenants > 1) co_await scanners_wg.Wait();
 
@@ -282,7 +282,7 @@ struct SweepResult {
   double agg_reads_per_s = 0;
   uint64_t failures = 0;
   uint64_t gw_frames = 0;
-  double wall_ms = 0;
+  double sim_ms = 0;
 };
 
 // Fleet density: N tenants over a fixed 4-host pool, every tenant
@@ -321,12 +321,12 @@ SweepResult MeasureSweep(const Params& p, int tenants) {
                                   &r.failures, &wg));
     }
     co_await wg.Wait();
-    r.wall_ms = static_cast<double>(sim.now() - t0) / 1e3;
+    r.sim_ms = static_cast<double>(sim.now() - t0) / 1e3;
     r.point_p99_us = lat.Percentile(99.0);
     r.agg_reads_per_s =
-        r.wall_ms > 0 ? static_cast<double>(f.num_tenants()) *
+        r.sim_ms > 0 ? static_cast<double>(f.num_tenants()) *
                             static_cast<double>(p.sweep_reads) /
-                            (r.wall_ms / 1e3)
+                            (r.sim_ms / 1e3)
                       : 0;
     r.gw_frames = f.gateway().frames_forwarded();
   });
@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
 
   // Phases: solo floor, then the noisy neighbor with QoS on / off.
   printf("\n%-10s %12s %12s %9s %8s %8s %9s\n", "config", "gp p99 us",
-         "pt p99 us", "fail", "scan fwd", "shed", "wall ms");
+         "pt p99 us", "fail", "scan fwd", "shed", "sim ms");
   struct {
     const char* name;
     bool qos;
@@ -379,14 +379,14 @@ int main(int argc, char** argv) {
     printf("%-10s %12.1f %12.1f %9" PRIu64 " %8" PRIu64 " %8" PRIu64
            " %9.2f\n",
            c.name, r.getpage_p99_us, r.point_p99_us, r.failures,
-           r.scans_forwarded, r.scans_shed, r.wall_ms);
+           r.scans_forwarded, r.scans_shed, r.sim_ms);
     json.Line(
         "{\"bench\":\"fleet\",\"phase\":\"noisy\",\"config\":\"%s\","
         "\"getpage_p99_us\":%.1f,\"point_p99_us\":%.1f,"
         "\"failures\":%" PRIu64 ",\"scans_forwarded\":%" PRIu64
-        ",\"scans_shed\":%" PRIu64 ",\"wall_ms\":%.2f}",
+        ",\"scans_shed\":%" PRIu64 ",\"sim_ms\":%.2f}",
         c.name, r.getpage_p99_us, r.point_p99_us, r.failures,
-        r.scans_forwarded, r.scans_shed, r.wall_ms);
+        r.scans_forwarded, r.scans_shed, r.sim_ms);
     if (std::strcmp(c.name, "solo") == 0) solo_p99 = r.getpage_p99_us;
     if (std::strcmp(c.name, "qos_on") == 0 && solo_p99 > 0) {
       on_ratio = r.getpage_p99_us / solo_p99;
@@ -418,19 +418,19 @@ int main(int argc, char** argv) {
 
   // Phase: tenant density sweep.
   printf("\n%-8s %12s %12s %9s %12s %9s\n", "tenants", "pt p99 us",
-         "agg reads/s", "fail", "gw frames", "wall ms");
+         "agg reads/s", "fail", "gw frames", "sim ms");
   for (int n : p.sweep) {
     SweepResult r = MeasureSweep(p, n);
     printf("%-8d %12.1f %12.0f %9" PRIu64 " %12" PRIu64 " %9.2f\n", n,
            r.point_p99_us, r.agg_reads_per_s, r.failures, r.gw_frames,
-           r.wall_ms);
+           r.sim_ms);
     json.Line(
         "{\"bench\":\"fleet\",\"phase\":\"sweep\",\"tenants\":%d,"
         "\"point_p99_us\":%.1f,\"agg_reads_per_s\":%.0f,"
         "\"failures\":%" PRIu64 ",\"gw_frames\":%" PRIu64
-        ",\"wall_ms\":%.2f}",
+        ",\"sim_ms\":%.2f}",
         n, r.point_p99_us, r.agg_reads_per_s, r.failures, r.gw_frames,
-        r.wall_ms);
+        r.sim_ms);
   }
   return 0;
 }

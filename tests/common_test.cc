@@ -5,6 +5,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/compress.h"
@@ -167,6 +169,90 @@ TEST(Crc32cTest, KnownVectors) {
   // 32 zero bytes -> 0x8A9136AA.
   char zeros[32] = {0};
   EXPECT_EQ(crc32c::Value(zeros, 32), 0x8A9136AAu);
+}
+
+// RFC 3720 section B.4 iSCSI test vectors.
+TEST(Crc32cTest, Rfc3720Vectors) {
+  char ones[32], ascending[32], descending[32];
+  for (int i = 0; i < 32; i++) {
+    ones[i] = static_cast<char>(0xff);
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  for (const crc32c::internal::Kernel& k :
+       crc32c::internal::AvailableKernels()) {
+    SCOPED_TRACE(k.name);
+    EXPECT_EQ(k.extend(0, ones, 32), 0x62A8AB43u);
+    EXPECT_EQ(k.extend(0, ascending, 32), 0x46DD794Eu);
+    EXPECT_EQ(k.extend(0, descending, 32), 0x113FDB5Cu);
+  }
+  EXPECT_EQ(crc32c::Value(ones, 32), 0x62A8AB43u);
+  EXPECT_EQ(crc32c::Value(ascending, 32), 0x46DD794Eu);
+  EXPECT_EQ(crc32c::Value(descending, 32), 0x113FDB5Cu);
+}
+
+// One byte of the bit-at-a-time definition, on the inverted crc state.
+uint32_t BitwiseCrcStep(uint32_t state, unsigned char byte) {
+  state ^= byte;
+  for (int i = 0; i < 8; i++) {
+    state = (state >> 1) ^ ((state & 1) ? 0x82f63b78u : 0);
+  }
+  return state;
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Random rng(seed);
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rng.Next());
+  return s;
+}
+
+// Every kernel the host can run (portable always, SSE4.2 when present)
+// against the bitwise definition: each length up to two 3-way blocks
+// plus a ragged tail, at every offset mod 8, from two initial crcs.
+TEST(Crc32cTest, KernelsMatchBitwiseReference) {
+  constexpr size_t kMaxLen = 2 * 768 + 17;
+  const std::string buf = RandomBytes(kMaxLen + 8, 7);
+  std::vector<crc32c::internal::Kernel> kernels =
+      crc32c::internal::AvailableKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.front().name, "portable");
+  for (const crc32c::internal::Kernel& k : kernels) {
+    SCOPED_TRACE(k.name);
+    for (uint32_t init : {0u, 0x5eed1234u}) {
+      for (size_t off = 0; off < 8; off++) {
+        const char* p = buf.data() + off;
+        uint32_t state = ~init;
+        for (size_t len = 0; len <= kMaxLen; len++) {
+          ASSERT_EQ(k.extend(init, p, len), ~state)
+              << "init=" << init << " off=" << off << " len=" << len;
+          state = BitwiseCrcStep(state, static_cast<unsigned char>(p[len]));
+        }
+      }
+    }
+  }
+  // Extend dispatches to the last (fastest) available kernel.
+  EXPECT_EQ(crc32c::Value(buf.data(), kMaxLen),
+            kernels.back().extend(0, buf.data(), kMaxLen));
+}
+
+TEST(Crc32cTest, ExtendChainsAtEverySplit) {
+  const std::string buf = RandomBytes(2048, 11);
+  const uint32_t whole = crc32c::Value(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); split++) {
+    uint32_t head = crc32c::Value(buf.data(), split);
+    ASSERT_EQ(crc32c::Extend(head, buf.data() + split, buf.size() - split),
+              whole)
+        << "split=" << split;
+  }
+}
+
+// Computed during this file's static initialisation, so Extend's tables
+// and kernel choice must not wait on another file's dynamic initialiser.
+const uint32_t kStaticInitCrc = crc32c::Value("123456789", 9);
+
+TEST(Crc32cTest, UsableDuringStaticInitialisation) {
+  EXPECT_EQ(kStaticInitCrc, 0xE3069283u);
 }
 
 TEST(Crc32cTest, ExtendEquivalence) {
