@@ -1,12 +1,12 @@
-// Computation pushdown (RBIO v4 kScanRange): selectivity x aggregate
+// Computation pushdown (RBIO kScanRange): selectivity x aggregate
 // sweep.
 //
 // A filtered scan over a database much larger than the compute memory
 // tier, swept across predicate selectivity (100% .. 0.1%) and execution
 // mode:
 //
-//   pages   pushdown disabled — the pre-v4 plan: fetch every leaf via
-//           GetPage@LSN / GetPageRange and evaluate locally;
+//   pages   pushdown disabled — the page plan: fetch every leaf via
+//           GetPage@LSN and evaluate locally;
 //   tuples  kScanRange ships predicate + projection; Page Servers stream
 //           back qualifying projected tuples;
 //   agg     kScanRange additionally carries a partial-aggregate spec

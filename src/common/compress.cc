@@ -102,6 +102,12 @@ bool GetRunLen(const char* p, const char* end, size_t* pos, size_t* len) {
 
 Status Decompress(Slice input, size_t raw_len, std::string* out) {
   out->clear();
+  // No input byte expands to more than 255 output bytes (a run-length
+  // extension byte), so a larger raw_len is forged: reject it before
+  // reserving.
+  if (raw_len > 255 * input.size() + 64) {
+    return Status::Corruption("compressed block: implausible length");
+  }
   out->reserve(raw_len);
   const char* p = input.data();
   const char* end = p + input.size();

@@ -452,42 +452,6 @@ sim::Task<Status> PageServer::WaitApplied(Lsn min_lsn) {
   }
 }
 
-sim::Task<Result<std::vector<storage::Page>>> PageServer::GetPageRangeAtLsn(
-    PageId first_page, uint32_t count, Lsn min_lsn) {
-  getpage_requests_++;
-  ScopedInflight inflight(&getpage_inflight_,
-                          opts_.host_load != nullptr
-                              ? &opts_.host_load->getpage_inflight
-                              : nullptr);
-  SOCRATES_CO_RETURN_IF_ERROR(co_await WaitApplied(min_lsn));
-  // One logical I/O against the covering, stride-preserving cache: the
-  // whole range costs a single CPU slice plus the (mostly local-SSD)
-  // page reads, instead of `count` round trips.
-  co_await cpu_->Consume(5 + count / 8);
-  std::vector<storage::Page> pages;
-  pages.reserve(count);
-  PageId end = first_page + count;
-  // Overlap the SSD promotions: start the whole range loading before the
-  // serial collection loop below pins page by page.
-  std::vector<PageId> range_ids;
-  range_ids.reserve(count);
-  for (PageId id = first_page; id < end; id++) {
-    if (InPartition(id)) range_ids.push_back(id);
-  }
-  pool_->Prefetch(range_ids);
-  for (PageId id = first_page; id < end; id++) {
-    if (!InPartition(id)) continue;
-    Result<engine::PageRef> ref = co_await pool_->GetPage(id);
-    if (!ref.ok()) {
-      if (ref.status().IsNotFound()) continue;  // unallocated page
-      co_return Result<std::vector<storage::Page>>(ref.status());
-    }
-    ref->EnsureChecksum();
-    pages.push_back(*ref->page());
-  }
-  co_return std::move(pages);
-}
-
 sim::Task<Result<std::string>> PageServer::HandleRbio(
     const std::string& frame) {
   SimTime gray = chaos_port_.GrayDelayUs();
@@ -496,58 +460,50 @@ sim::Task<Result<std::string>> PageServer::HandleRbio(
     co_return Result<std::string>(
         Status::Unavailable("injected transient failure"));
   }
-  rbio::PageResponse resp;
-  uint16_t version = 0;
-  rbio::GetPageRequest get;
-  rbio::GetPageRangeRequest range;
-  rbio::GetPageBatchRequest batch;
-  rbio::ScanRangeRequest scan;
+  const uint16_t level = opts_.rbio_max_version;
+  uint16_t stamp = 0;
+  Status ds;
   // Dispatch on the peeked type byte: exactly one decode runs per frame.
-  rbio::MessageType type = rbio::PeekMessageType(frame);
-  if (type == rbio::MessageType::kGetPageBatch &&
-      rbio::GetPageBatchRequest::Decode(Slice(frame), &batch, &version,
-                                        opts_.rbio_max_version)
-          .ok()) {
-    co_return co_await ServeBatch(std::move(batch));
-  }
-  if (type == rbio::MessageType::kScanRange &&
-      rbio::ScanRangeRequest::Decode(Slice(frame), &scan, &version,
-                                     opts_.rbio_max_version)
-          .ok()) {
-    co_return co_await ServeScan(std::move(scan));
-  }
-  // (A v3-capped server falls through the failed kScanRange decode to
-  // the NotSupported PageResponse below — the §3.4 downgrade signal.)
-  if (type == rbio::MessageType::kGetPage &&
-      rbio::GetPageRequest::Decode(Slice(frame), &get, &version,
-                                   opts_.rbio_max_version)
-          .ok()) {
-    // Hot path: encode the lone page straight to the wire, skipping the
-    // PageResponse struct and its per-response vector.
-    Result<storage::Page> page =
-        co_await GetPageAtLsn(get.page_id, get.min_lsn);
-    co_return rbio::EncodeSinglePageResponse(
-        page.ok() ? Status::OK() : page.status(),
-        page.ok() ? &page.value() : nullptr);
-  }
-  if (type == rbio::MessageType::kGetPageRange &&
-      rbio::GetPageRangeRequest::Decode(Slice(frame), &range, &version,
-                                        opts_.rbio_max_version)
-          .ok()) {
-    Result<std::vector<storage::Page>> pages = co_await GetPageRangeAtLsn(
-        range.first_page, range.count, range.min_lsn);
-    if (pages.ok()) {
-      resp.status = Status::OK();
-      resp.pages = std::move(pages).value();
-    } else {
-      resp.status = pages.status();
+  switch (rbio::PeekMessageType(frame)) {
+    case rbio::MessageType::kGetPageBatch: {
+      rbio::GetPageBatchRequest batch;
+      ds = rbio::GetPageBatchRequest::Decode(Slice(frame), &batch, &stamp,
+                                             level);
+      if (ds.ok()) co_return co_await ServeBatch(std::move(batch));
+      break;
     }
-  } else {
-    // Unknown type or unsupported version: reject in a typed way so the
-    // client can distinguish protocol errors from data errors.
-    resp.status = Status::NotSupported("rbio: unsupported request");
+    case rbio::MessageType::kScanRange: {
+      rbio::ScanRangeRequest scan;
+      ds = rbio::ScanRangeRequest::Decode(Slice(frame), &scan, &stamp,
+                                          level);
+      if (ds.ok()) co_return co_await ServeScan(std::move(scan));
+      break;
+    }
+    case rbio::MessageType::kGetPage: {
+      rbio::GetPageRequest get;
+      ds = rbio::GetPageRequest::Decode(Slice(frame), &get, &stamp, level);
+      if (ds.ok()) {
+        // Hot path: encode the lone page straight to the wire, skipping
+        // the PageResponse struct and its per-response vector.
+        Result<storage::Page> page =
+            co_await GetPageAtLsn(get.page_id, get.min_lsn);
+        co_return rbio::EncodeSinglePageResponse(
+            page.ok() ? Status::OK() : page.status(),
+            page.ok() ? &page.value() : nullptr, level);
+      }
+      break;
+    }
+    default: {
+      Slice header(frame);
+      rbio::MessageType type = rbio::MessageType::kGetPage;
+      ds = rbio::DecodeRequestHeader(&header, level, &stamp, &type);
+      break;
+    }
   }
-  co_return resp.Encode();
+  // Unservable frame: reply with the decoder's own status, so only a
+  // request stamped above this server's level reads as NotSupported (the
+  // §3.4 "old server" signal) and a malformed one as Corruption.
+  co_return rbio::EncodeSinglePageResponse(ds, nullptr, level);
 }
 
 // Serve one kGetPageBatch frame: sub-requests grouped by min_lsn and
@@ -602,7 +558,7 @@ sim::Task<Result<std::string>> PageServer::ServeBatch(
     }
     if (all_unavailable) resp.status = resp.entries[0].status;
   }
-  co_return resp.Encode();
+  co_return resp.Encode(opts_.rbio_max_version);
 }
 
 // Serve one kScanRange frame: the computation-pushdown evaluator. Wait
@@ -624,7 +580,7 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
   Status admit = co_await AdmitScan();
   if (!admit.ok()) {
     resp.status = admit;
-    co_return resp.Encode();
+    co_return resp.Encode(opts_.rbio_max_version);
   }
   // Scans count in getpage_inflight_ (the checkpoint pacer watches total
   // foreground pressure) and in scan_inflight_ (so the admission gate
@@ -640,7 +596,7 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
   Status ws = co_await WaitApplied(req.min_lsn);
   if (!ws.ok()) {
     resp.status = ws;
-    co_return resp.Encode();
+    co_return resp.Encode(opts_.rbio_max_version);
   }
   resp.status = Status::OK();
   resp.aggregated = req.aggregate.enabled();
@@ -679,7 +635,7 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
         break;
       }
       resp.status = ref.status();
-      co_return resp.Encode();
+      co_return resp.Encode(opts_.rbio_max_version);
     }
     engine::BTreePage bp(ref->page());
     if (!bp.is_leaf() || !bp.CoversKey(cursor)) {
@@ -756,7 +712,7 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
     scan_bytes_returned_ += t.len;
   }
   scan_tuples_returned_ += tups.size();
-  co_return resp.Encode();
+  co_return resp.Encode(opts_.rbio_max_version);
 }
 
 void PageServer::RecordGetPageServiceTime(SimTime us) {

@@ -7,23 +7,20 @@ namespace rbio {
 
 namespace {
 
-// Common frame header: [u16 version][u8 type].
-void PutHeader(std::string* out, uint16_t version, MessageType type) {
-  PutFixed16(out, version);
+void PutHeader(std::string* out, uint16_t level, MessageType type) {
+  PutFixed16(out, level);
   out->push_back(static_cast<char>(type));
 }
 
-Status GetHeader(Slice* in, uint16_t* version, MessageType* type,
-                 uint16_t max_version) {
-  if (!GetFixed16(in, version)) {
-    return Status::Corruption("rbio: truncated header");
-  }
-  if (in->empty()) return Status::Corruption("rbio: missing type");
-  *type = static_cast<MessageType>((*in)[0]);
-  in->remove_prefix(1);
-  if (*version > max_version || *version > kProtocolVersion ||
-      *version < kMinSupportedVersion) {
-    return Status::NotSupported("rbio: protocol version mismatch");
+// The typed decoders' header step: the shared stamp check, then the
+// type each decoder expects.
+Status GetTypedHeader(Slice* in, MessageType want, uint16_t server_level,
+                      uint16_t* level) {
+  MessageType type = MessageType::kGetPage;
+  SOCRATES_RETURN_IF_ERROR(
+      DecodeRequestHeader(in, server_level, level, &type));
+  if (type != want) {
+    return Status::InvalidArgument("rbio: unexpected message type");
   }
   return Status::OK();
 }
@@ -33,6 +30,8 @@ void PutStatus(std::string* out, const Status& status) {
   out->push_back(static_cast<char>(status.code()));
   PutLengthPrefixed(out, Slice(status.message()));
 }
+// Smallest encoded status: the code byte plus an empty message.
+constexpr size_t kMinStatusBytes = 1 + 4;
 
 Status GetStatus(Slice* in, Status* out) {
   if (in->empty()) return Status::Corruption("rbio: missing status");
@@ -59,6 +58,9 @@ Status GetStatus(Slice* in, Status* out) {
     case Status::Code::kOverloaded:
       *out = Status::Overloaded(msg.ToView());
       break;
+    case Status::Code::kCorruption:
+      *out = Status::Corruption(msg.ToView());
+      break;
     default:
       *out = Status::IOError(msg.ToView());
       break;
@@ -66,28 +68,35 @@ Status GetStatus(Slice* in, Status* out) {
   return Status::OK();
 }
 
-// Every response format starts [u16 version][status]; the retry loop
+// Every response format starts [u16 level][status]; the retry loop
 // peeks this shared prefix to classify transient failures without
 // knowing which response format the frame carries.
 Status PeekResponseStatus(Slice wire, Status* out) {
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
+  uint16_t level;
+  if (!GetFixed16(&wire, &level)) {
     return Status::Corruption("rbio: truncated response");
   }
   return GetStatus(&wire, out);
 }
 
-// Code-only variant for the retry loop's transient check: reads the code
+// Code-only variant for the retry loop: reads the stamp and the code
 // byte without materializing the message string (error messages exceed
 // SSO, so the full peek allocates on every error response).
-Status PeekResponseStatusCode(Slice wire, Status::Code* out) {
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
+Status PeekResponseLevelAndCode(Slice wire, uint16_t* level,
+                                Status::Code* out) {
+  if (!GetFixed16(&wire, level)) {
     return Status::Corruption("rbio: truncated response");
   }
   if (wire.empty()) return Status::Corruption("rbio: missing status");
   *out = static_cast<Status::Code>(wire[0]);
   return Status::OK();
+}
+
+// Read a u32 element count and check that `n` elements of at least
+// `min_bytes` each fit in what is left of the frame, so a forged count
+// is rejected before anything is reserved.
+bool GetCount(Slice* in, size_t min_bytes, uint32_t* n) {
+  return GetFixed32(in, n) && *n <= in->size() / min_bytes;
 }
 
 void PutPageImage(std::string* out, const storage::Page& page) {
@@ -116,14 +125,14 @@ Status GetPageImage(Slice* in,
 Status DecodePageResponse(Slice wire,
                           const std::shared_ptr<const std::string>& owner,
                           PageResponse* out) {
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
+  uint16_t level;
+  if (!GetFixed16(&wire, &level)) {
     return Status::Corruption("rbio: truncated response");
   }
   SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status));
   uint32_t n;
-  if (!GetFixed32(&wire, &n)) {
-    return Status::Corruption("rbio: truncated page count");
+  if (!GetCount(&wire, kPageSize, &n)) {
+    return Status::Corruption("rbio: bad page count");
   }
   out->pages.clear();
   out->pages.reserve(n);
@@ -138,14 +147,15 @@ Status DecodePageResponse(Slice wire,
 Status DecodeBatchResponse(Slice wire,
                            const std::shared_ptr<const std::string>& owner,
                            GetPageBatchResponse* out) {
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
+  uint16_t level;
+  if (!GetFixed16(&wire, &level)) {
     return Status::Corruption("rbio: truncated batch response");
   }
   SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status));
   uint32_t n;
-  if (!GetFixed32(&wire, &n)) {
-    return Status::Corruption("rbio: truncated batch entry count");
+  // Each entry is a status plus a has-page byte at least.
+  if (!GetCount(&wire, kMinStatusBytes + 1, &n)) {
+    return Status::Corruption("rbio: bad batch entry count");
   }
   out->entries.clear();
   out->entries.reserve(n);
@@ -155,8 +165,12 @@ Status DecodeBatchResponse(Slice wire,
     if (wire.empty()) {
       return Status::Corruption("rbio: truncated batch entry");
     }
-    bool has_page = wire[0] != 0;
+    const uint8_t has_page = static_cast<uint8_t>(wire[0]);
     wire.remove_prefix(1);
+    // A page rides with exactly the OK entries.
+    if (has_page != (e.status.ok() ? 1 : 0)) {
+      return Status::Corruption("rbio: batch entry page flag mismatch");
+    }
     if (has_page) {
       SOCRATES_RETURN_IF_ERROR(GetPageImage(&wire, owner, &e.page));
     }
@@ -167,30 +181,46 @@ Status DecodeBatchResponse(Slice wire,
 
 }  // namespace
 
+Status DecodeRequestHeader(Slice* wire, uint16_t server_level,
+                           uint16_t* level, MessageType* type) {
+  if (!GetFixed16(wire, level)) {
+    return Status::Corruption("rbio: truncated header");
+  }
+  if (wire->empty()) return Status::Corruption("rbio: missing type");
+  *type = static_cast<MessageType>((*wire)[0]);
+  wire->remove_prefix(1);
+  if (*level > server_level) {
+    return Status::NotSupported("rbio: request above server level");
+  }
+  const uint16_t need = RequiredLevel(*type);
+  if (need == 0) return Status::InvalidArgument("rbio: unknown type");
+  if (*level < need) {
+    return Status::Corruption("rbio: request stamped below its level");
+  }
+  return Status::OK();
+}
+
 Status DecodeResponseStatusPrefix(Slice wire, Status* out) {
   return PeekResponseStatus(wire, out);
 }
 
-std::string GetPageRequest::Encode(uint16_t version) const {
+std::string GetPageRequest::Encode() const {
   std::string out;
-  EncodeTo(&out, version);
+  EncodeTo(&out);
   return out;
 }
 
-void GetPageRequest::EncodeTo(std::string* out, uint16_t version) const {
+void GetPageRequest::EncodeTo(std::string* out) const {
   out->clear();
-  PutHeader(out, version, MessageType::kGetPage);
+  PutHeader(out, RequiredLevel(MessageType::kGetPage), MessageType::kGetPage);
   PutFixed64(out, page_id);
   PutFixed64(out, min_lsn);
 }
 
 Status GetPageRequest::Decode(Slice wire, GetPageRequest* out,
-                              uint16_t* version, uint16_t max_version) {
-  MessageType type = MessageType::kGetPage;
-  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, version, &type, max_version));
-  if (type != MessageType::kGetPage) {
-    return Status::InvalidArgument("rbio: not a GetPage request");
-  }
+                              uint16_t* level, uint16_t server_level) {
+  SOCRATES_RETURN_IF_ERROR(
+      GetTypedHeader(&wire, MessageType::kGetPage, server_level, level));
   if (!GetFixed64(&wire, &out->page_id) ||
       !GetFixed64(&wire, &out->min_lsn)) {
     return Status::Corruption("rbio: truncated GetPage request");
@@ -198,48 +228,17 @@ Status GetPageRequest::Decode(Slice wire, GetPageRequest* out,
   return Status::OK();
 }
 
-std::string GetPageRangeRequest::Encode(uint16_t version) const {
+std::string GetPageBatchRequest::Encode() const {
   std::string out;
-  EncodeTo(&out, version);
+  EncodeTo(&out);
   return out;
 }
 
-void GetPageRangeRequest::EncodeTo(std::string* out,
-                                   uint16_t version) const {
-  out->clear();
-  PutHeader(out, version, MessageType::kGetPageRange);
-  PutFixed64(out, first_page);
-  PutFixed32(out, count);
-  PutFixed64(out, min_lsn);
-}
-
-Status GetPageRangeRequest::Decode(Slice wire, GetPageRangeRequest* out,
-                                   uint16_t* version,
-                                   uint16_t max_version) {
-  MessageType type = MessageType::kGetPage;
-  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, version, &type, max_version));
-  if (type != MessageType::kGetPageRange) {
-    return Status::InvalidArgument("rbio: not a GetPageRange request");
-  }
-  if (!GetFixed64(&wire, &out->first_page) ||
-      !GetFixed32(&wire, &out->count) ||
-      !GetFixed64(&wire, &out->min_lsn)) {
-    return Status::Corruption("rbio: truncated GetPageRange request");
-  }
-  return Status::OK();
-}
-
-std::string GetPageBatchRequest::Encode(uint16_t version) const {
-  std::string out;
-  EncodeTo(&out, version);
-  return out;
-}
-
-void GetPageBatchRequest::EncodeTo(std::string* out,
-                                   uint16_t version) const {
+void GetPageBatchRequest::EncodeTo(std::string* out) const {
   out->clear();
   out->reserve(2 + 1 + 4 + entries.size() * 16);
-  PutHeader(out, version, MessageType::kGetPageBatch);
+  PutHeader(out, RequiredLevel(MessageType::kGetPageBatch),
+            MessageType::kGetPageBatch);
   PutFixed32(out, static_cast<uint32_t>(entries.size()));
   for (const Entry& e : entries) {
     PutFixed64(out, e.page_id);
@@ -248,19 +247,13 @@ void GetPageBatchRequest::EncodeTo(std::string* out,
 }
 
 Status GetPageBatchRequest::Decode(Slice wire, GetPageBatchRequest* out,
-                                   uint16_t* version,
-                                   uint16_t max_version) {
-  MessageType type = MessageType::kGetPage;
-  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, version, &type, max_version));
-  if (type != MessageType::kGetPageBatch) {
-    return Status::InvalidArgument("rbio: not a GetPageBatch request");
-  }
-  if (*version < kBatchMinVersion) {
-    return Status::NotSupported("rbio: batch frame below v3");
-  }
+                                   uint16_t* level,
+                                   uint16_t server_level) {
+  SOCRATES_RETURN_IF_ERROR(GetTypedHeader(
+      &wire, MessageType::kGetPageBatch, server_level, level));
   uint32_t n;
-  if (!GetFixed32(&wire, &n)) {
-    return Status::Corruption("rbio: truncated batch count");
+  if (!GetCount(&wire, 16, &n)) {
+    return Status::Corruption("rbio: bad batch count");
   }
   out->entries.clear();
   out->entries.reserve(n);
@@ -274,12 +267,12 @@ Status GetPageBatchRequest::Decode(Slice wire, GetPageBatchRequest* out,
   return Status::OK();
 }
 
-std::string PageResponse::Encode() const {
+std::string PageResponse::Encode(uint16_t level) const {
   std::string out;
   // One exact-size allocation instead of append-growth reallocs.
   out.reserve(2 + 1 + 5 + status.message().size() + 4 +
               pages.size() * kPageSize);
-  PutFixed16(&out, kPageResponseVersion);
+  PutFixed16(&out, level);
   PutStatus(&out, status);
   PutFixed32(&out, static_cast<uint32_t>(pages.size()));
   for (const storage::Page& p : pages) PutPageImage(&out, p);
@@ -295,11 +288,11 @@ Status PageResponse::Decode(std::shared_ptr<const std::string> frame,
   return DecodePageResponse(Slice(*frame), frame, out);
 }
 
-std::string GetPageBatchResponse::Encode() const {
+std::string GetPageBatchResponse::Encode(uint16_t level) const {
   std::string out;
   out.reserve(2 + 1 + 5 + status.message().size() + 4 +
               entries.size() * (kPageSize + 16));
-  PutFixed16(&out, kPageResponseVersion);
+  PutFixed16(&out, level);
   PutStatus(&out, status);
   PutFixed32(&out, static_cast<uint32_t>(entries.size()));
   for (const Entry& e : entries) {
@@ -320,11 +313,12 @@ Status GetPageBatchResponse::Decode(
 }
 
 std::string EncodeSinglePageResponse(const Status& status,
-                                     const storage::Page* page) {
+                                     const storage::Page* page,
+                                     uint16_t level) {
   std::string out;
   out.reserve(2 + 1 + 5 + status.message().size() + 4 +
               (page != nullptr ? kPageSize : 0));
-  PutFixed16(&out, kPageResponseVersion);
+  PutFixed16(&out, level);
   PutStatus(&out, status);
   PutFixed32(&out, page != nullptr ? 1u : 0u);
   if (page != nullptr) PutPageImage(&out, *page);
@@ -335,8 +329,8 @@ Status DecodeSinglePageResponse(
     const std::shared_ptr<const std::string>& frame, Status* status,
     storage::Page* page) {
   Slice wire(*frame);
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
+  uint16_t level;
+  if (!GetFixed16(&wire, &level)) {
     return Status::Corruption("rbio: truncated response");
   }
   SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, status));
@@ -351,15 +345,15 @@ Status DecodeSinglePageResponse(
   return GetPageImage(&wire, frame, page);
 }
 
-std::string ScanRangeRequest::Encode(uint16_t version) const {
+std::string ScanRangeRequest::Encode() const {
   std::string out;
-  EncodeTo(&out, version);
+  EncodeTo(&out);
   return out;
 }
 
-void ScanRangeRequest::EncodeTo(std::string* out, uint16_t version) const {
+void ScanRangeRequest::EncodeTo(std::string* out) const {
   out->clear();
-  PutHeader(out, version, MessageType::kScanRange);
+  PutHeader(out, RequiredLevel(), MessageType::kScanRange);
   PutFixed64(out, start_page);
   PutFixed64(out, start_key);
   PutFixed64(out, end_key);
@@ -367,30 +361,16 @@ void ScanRangeRequest::EncodeTo(std::string* out, uint16_t version) const {
   PutFixed32(out, max_pages);
   PutFixed64(out, min_lsn);
   PutFixed64(out, read_ts);
-  if (version >= kScanExprV5MinVersion) {
-    common::EncodePredicateV5(out, predicate);
-    common::EncodeProjection(out, projection);
-    common::EncodeAggregate(out, aggregate);
-    common::EncodeAggregateListV5(out, extra_aggregates);
-  } else {
-    // Pinned v4 body — byte-identical to the pre-v5 codec. Callers only
-    // frame at v4 when NeedsV5() is false, so nothing is dropped here.
-    common::EncodePredicate(out, predicate);
-    common::EncodeProjection(out, projection);
-    common::EncodeAggregate(out, aggregate);
-  }
+  common::EncodePredicate(out, predicate);
+  common::EncodeProjection(out, projection);
+  common::EncodeAggregate(out, aggregate);
+  common::EncodeAggregateList(out, extra_aggregates);
 }
 
 Status ScanRangeRequest::Decode(Slice wire, ScanRangeRequest* out,
-                                uint16_t* version, uint16_t max_version) {
-  MessageType type = MessageType::kGetPage;
-  SOCRATES_RETURN_IF_ERROR(GetHeader(&wire, version, &type, max_version));
-  if (type != MessageType::kScanRange) {
-    return Status::InvalidArgument("rbio: not a ScanRange request");
-  }
-  if (*version < kScanRangeMinVersion) {
-    return Status::NotSupported("rbio: scan frame below v4");
-  }
+                                uint16_t* level, uint16_t server_level) {
+  SOCRATES_RETURN_IF_ERROR(
+      GetTypedHeader(&wire, MessageType::kScanRange, server_level, level));
   if (!GetFixed64(&wire, &out->start_page) ||
       !GetFixed64(&wire, &out->start_key) ||
       !GetFixed64(&wire, &out->end_key) || !GetFixed32(&wire, &out->limit) ||
@@ -399,38 +379,27 @@ Status ScanRangeRequest::Decode(Slice wire, ScanRangeRequest* out,
       !GetFixed64(&wire, &out->read_ts)) {
     return Status::Corruption("rbio: truncated ScanRange request");
   }
-  if (*version >= kScanExprV5MinVersion) {
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodePredicateV5(&wire, &out->predicate));
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodeProjection(&wire, &out->projection));
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodeAggregate(&wire, &out->aggregate));
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodeAggregateListV5(&wire, &out->extra_aggregates));
-  } else {
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodePredicate(&wire, &out->predicate));
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodeProjection(&wire, &out->projection));
-    SOCRATES_RETURN_IF_ERROR(
-        common::DecodeAggregate(&wire, &out->aggregate));
-    out->extra_aggregates.clear();
+  SOCRATES_RETURN_IF_ERROR(common::DecodePredicate(&wire, &out->predicate));
+  SOCRATES_RETURN_IF_ERROR(
+      common::DecodeProjection(&wire, &out->projection));
+  SOCRATES_RETURN_IF_ERROR(common::DecodeAggregate(&wire, &out->aggregate));
+  SOCRATES_RETURN_IF_ERROR(
+      common::DecodeAggregateList(&wire, &out->extra_aggregates));
+  // The header check saw only the type; the body decides whether the
+  // scan needs the v5 vocabulary.
+  if (*level < out->RequiredLevel()) {
+    return Status::Corruption("rbio: request stamped below its level");
   }
   return Status::OK();
 }
 
-std::string ScanRangeResponse::Encode() const {
+std::string ScanRangeResponse::Encode(uint16_t level) const {
   std::string out;
   size_t tuple_bytes = 0;
   for (const Tuple& t : tuples) tuple_bytes += 12 + t.value.size();
   out.reserve(2 + 1 + 5 + status.message().size() + 29 +
               (aggregated ? 17 + 16 * extra_aggs.size() : 4 + tuple_bytes));
-  // Multi-aggregate bodies are the only v5 response shape; everything
-  // else keeps the pinned v4 stamp so pre-v5 responses stay
-  // byte-identical across the protocol bump.
-  bool v5_body = aggregated && !extra_aggs.empty();
-  PutFixed16(&out, v5_body ? kScanExprV5MinVersion : kScanResponseVersion);
+  PutFixed16(&out, level);
   PutStatus(&out, status);
   uint8_t flags = (complete ? 1u : 0u) | (fence_miss ? 2u : 0u) |
                   (aggregated ? 4u : 0u);
@@ -442,12 +411,10 @@ std::string ScanRangeResponse::Encode() const {
   if (aggregated) {
     PutFixed64(&out, agg.rows);
     PutFixed64(&out, agg.value);
-    if (v5_body) {
-      out.push_back(static_cast<char>(extra_aggs.size() & 0xff));
-      for (const common::AggState& st : extra_aggs) {
-        PutFixed64(&out, st.rows);
-        PutFixed64(&out, st.value);
-      }
+    out.push_back(static_cast<char>(extra_aggs.size() & 0xff));
+    for (const common::AggState& st : extra_aggs) {
+      PutFixed64(&out, st.rows);
+      PutFixed64(&out, st.value);
     }
   } else {
     PutFixed32(&out, static_cast<uint32_t>(tuples.size()));
@@ -462,14 +429,13 @@ std::string ScanRangeResponse::Encode() const {
 Status ScanRangeResponse::Decode(std::shared_ptr<const std::string> frame,
                                  ScanRangeResponse* out) {
   Slice wire(*frame);
-  uint16_t version;
-  if (!GetFixed16(&wire, &version)) {
+  uint16_t level;
+  if (!GetFixed16(&wire, &level)) {
     return Status::Corruption("rbio: truncated scan response");
   }
   SOCRATES_RETURN_IF_ERROR(GetStatus(&wire, &out->status));
-  // Error responses carry no body — and a pre-v4 server's NotSupported
-  // PageResponse shares this exact prefix, so it decodes cleanly here as
-  // the negotiation fallback signal.
+  // Error responses carry no body — and an old server's NotSupported
+  // PageResponse shares this exact prefix, so it decodes cleanly here.
   if (!out->status.ok()) return Status::OK();
   if (wire.empty()) return Status::Corruption("rbio: truncated scan flags");
   uint8_t flags = static_cast<uint8_t>(wire[0]);
@@ -490,26 +456,25 @@ Status ScanRangeResponse::Decode(std::shared_ptr<const std::string> frame,
         !GetFixed64(&wire, &out->agg.value)) {
       return Status::Corruption("rbio: truncated scan aggregate");
     }
-    if (version >= kScanExprV5MinVersion) {
-      if (wire.empty()) {
-        return Status::Corruption("rbio: truncated extra-agg count");
+    if (wire.empty()) {
+      return Status::Corruption("rbio: truncated extra-agg count");
+    }
+    uint8_t n = static_cast<uint8_t>(wire[0]);
+    wire.remove_prefix(1);
+    out->extra_aggs.reserve(n);
+    for (uint8_t i = 0; i < n; i++) {
+      common::AggState st;
+      if (!GetFixed64(&wire, &st.rows) || !GetFixed64(&wire, &st.value)) {
+        return Status::Corruption("rbio: truncated extra aggregate");
       }
-      uint8_t n = static_cast<uint8_t>(wire[0]);
-      wire.remove_prefix(1);
-      out->extra_aggs.reserve(n);
-      for (uint8_t i = 0; i < n; i++) {
-        common::AggState st;
-        if (!GetFixed64(&wire, &st.rows) || !GetFixed64(&wire, &st.value)) {
-          return Status::Corruption("rbio: truncated extra aggregate");
-        }
-        out->extra_aggs.push_back(st);
-      }
+      out->extra_aggs.push_back(st);
     }
     return Status::OK();
   }
   uint32_t n;
-  if (!GetFixed32(&wire, &n)) {
-    return Status::Corruption("rbio: truncated tuple count");
+  // Each tuple is a key plus a length prefix at least.
+  if (!GetCount(&wire, 8 + 4, &n)) {
+    return Status::Corruption("rbio: bad tuple count");
   }
   out->tuples.reserve(n);
   for (uint32_t i = 0; i < n; i++) {
@@ -532,9 +497,19 @@ RbioClient::~RbioClient() {
   // Queued-but-unflushed entries can only exist if the simulator was
   // abandoned mid-request; their rider coroutines can never resume, so
   // reclaiming the nodes here is safe.
-  for (auto& [key, q] : batch_queues_) {
-    for (PendingGet* e : q.pending) delete e;
+  for (auto& [key, set] : sets_) {
+    for (PendingGet* e : set.pending) delete e;
   }
+}
+
+RbioClient::EndpointSet& RbioClient::SetFor(
+    const std::vector<Endpoint>& replicas) {
+  std::string key;
+  for (const Endpoint& ep : replicas) {
+    key += ep.name;
+    key += '|';
+  }
+  return sets_[key];
 }
 
 RbioClient::PendingGet* RbioClient::AcquirePending(PageId page_id,
@@ -610,8 +585,8 @@ size_t RbioClient::PickReplica(const std::vector<Endpoint>& replicas,
 }
 
 sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
-    const std::vector<Endpoint>& replicas, std::string frame,
-    SimTime cpu_us) {
+    EndpointSet* set, const std::vector<Endpoint>& replicas,
+    std::string frame, SimTime cpu_us) {
   static const Status kNoEndpoints = Status::Unavailable("no endpoints");
   Status last = kNoEndpoints;
   for (int attempt = 0; attempt < opts_.max_attempts; attempt++) {
@@ -638,7 +613,7 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
       link_delay = opts_.injector->LinkDelayUs(opts_.site, ep.name);
     }
     // A configured wire bandwidth adds a size-proportional transfer term
-    // per leg; the default (0) keeps the pre-v4 base-latency-only timing.
+    // per leg; the default (0) charges base latency only.
     SimTime xfer_out =
         opts_.wire_mb_per_s > 0
             ? static_cast<SimTime>(static_cast<double>(frame.size()) /
@@ -672,11 +647,20 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
       ReleaseFrame(std::move(frame));
       co_return Result<std::string>(last);
     }
+    uint16_t resp_level;
     Status::Code resp_code;
-    Status ps = PeekResponseStatusCode(Slice(*raw), &resp_code);
+    Status ps = PeekResponseLevelAndCode(Slice(*raw), &resp_level, &resp_code);
     if (!ps.ok()) {
       ReleaseFrame(std::move(frame));
       co_return Result<std::string>(ps);
+    }
+    // Automatic versioning (§3.4): learn the level from every response.
+    // A NotSupported reply also proves the server is below this
+    // request's own stamp.
+    set->level = std::min(set->level, resp_level);
+    if (resp_code == Status::Code::kNotSupported) {
+      const uint16_t sent = DecodeFixed16(frame.data());
+      set->level = std::min<uint16_t>(set->level, sent - 1);
     }
     if (resp_code == Status::Code::kUnavailable) {
       // Transient: materialize the full status only on this rare path,
@@ -693,36 +677,17 @@ sim::Task<Result<std::string>> RbioClient::RoundtripRaw(
   co_return Result<std::string>(last);
 }
 
-sim::Task<Result<PageResponse>> RbioClient::Roundtrip(
-    const std::vector<Endpoint>& replicas, std::string frame) {
-  Result<std::string> raw = co_await RoundtripRaw(
-      replicas, std::move(frame), opts_.cpu_per_request_us);
-  if (!raw.ok()) co_return Result<PageResponse>(raw.status());
-  PageResponse resp;
-  // Zero-copy: the decoded pages alias into the response frame, which
-  // stays alive (shared) for as long as any of them does.
-  std::shared_ptr<std::string> fp = AcquireRespFrame();
-  *fp = std::move(*raw);
-  Status ds = PageResponse::Decode(fp, &resp);
-  if (!ds.ok()) co_return Result<PageResponse>(ds);
-  co_return std::move(resp);
-}
-
 sim::Task<Result<storage::Page>> RbioClient::GetPageSingle(
-    const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn) {
+    EndpointSet* set, const std::vector<Endpoint>& replicas, PageId page_id,
+    Lsn min_lsn) {
   GetPageRequest req;
   req.page_id = page_id;
   req.min_lsn = min_lsn;
   singles_sent_++;
-  // Per-page frames carry the oldest version whose semantics match
-  // (GetPage is unchanged since v2), so a v3 client interoperates with
-  // v2 servers without negotiation.
-  uint16_t version =
-      std::min<uint16_t>(opts_.protocol_version, kGetPageFrameVersion);
   std::string frame = AcquireFrame();
-  req.EncodeTo(&frame, version);
+  req.EncodeTo(&frame);
   Result<std::string> raw = co_await RoundtripRaw(
-      replicas, std::move(frame), opts_.cpu_per_request_us);
+      set, replicas, std::move(frame), opts_.cpu_per_request_us);
   if (!raw.ok()) co_return Result<storage::Page>(raw.status());
   // Single-page decode: the page aliases into the pooled response frame;
   // no PageResponse struct, no per-response vector.
@@ -743,19 +708,12 @@ sim::Task<Result<storage::Page>> RbioClient::GetPageSingle(
 
 sim::Task<Result<storage::Page>> RbioClient::GetPage(
     const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn) {
-  if (!BatchingEnabled() || replicas.empty()) {
-    co_return co_await GetPageSingle(replicas, page_id, min_lsn);
-  }
-  std::string key;
-  for (const Endpoint& ep : replicas) {
-    key += ep.name;
-    key += '|';
-  }
-  BatchQueue& q = batch_queues_[key];
-  if (q.support_known && !q.supported) {
-    // This endpoint set rejected a v3 batch frame before: stay on
+  EndpointSet& q = SetFor(replicas);
+  if (opts_.max_batch <= 1 || replicas.empty() ||
+      q.level < RequiredLevel(MessageType::kGetPageBatch)) {
+    // Batching is off, or this endpoint set is below the batch level:
     // per-page singles.
-    co_return co_await GetPageSingle(replicas, page_id, min_lsn);
+    co_return co_await GetPageSingle(&q, replicas, page_id, min_lsn);
   }
   // Batch-aware dedup: a request for a page already queued this window
   // rides along (at the max of both freshness LSNs) instead of adding a
@@ -790,7 +748,7 @@ sim::Task<Result<storage::Page>> RbioClient::GetPage(
     q.pending.push_back(entry);
     if (!q.flusher_active) {
       q.flusher_active = true;
-      sim::Spawn(sim_, BatchFlusher(key));
+      sim::Spawn(sim_, BatchFlusher(&q));
     }
   }
   entry->refs++;  // this rider
@@ -800,19 +758,19 @@ sim::Task<Result<storage::Page>> RbioClient::GetPage(
   co_return std::move(result);
 }
 
-sim::Task<> RbioClient::BatchFlusher(std::string key) {
+sim::Task<> RbioClient::BatchFlusher(EndpointSet* set) {
   // Adaptive window: give misses issued at the same virtual instant one
   // simulator tick to pile up, then flush. The tick is zero virtual
   // time, so a lone miss pays no extra latency over the unbatched path.
   co_await sim::Yield(sim_);
-  BatchQueue& q = batch_queues_[key];
+  EndpointSet& q = *set;
   while (!q.pending.empty()) {
     size_t n = std::min<size_t>(q.pending.size(), opts_.max_batch);
     if (n == 1 && q.pending.size() == 1) {
       // The common lone-miss case: resolve directly, no batch vector.
       PendingGet* only = q.pending.front();
       q.pending.clear();
-      sim::Spawn(sim_, ResolveSingle(q.replicas, only));
+      sim::Spawn(sim_, ResolveSingle(set, q.replicas, only));
       break;
     }
     std::vector<PendingGet*> batch(q.pending.begin(),
@@ -820,25 +778,25 @@ sim::Task<> RbioClient::BatchFlusher(std::string key) {
     q.pending.erase(q.pending.begin(), q.pending.begin() + n);
     // Detached: bursts above max_batch go out as several concurrent
     // frames rather than serializing round trips.
-    sim::Spawn(sim_, FlushBatch(q.replicas, key, std::move(batch)));
+    sim::Spawn(sim_, FlushBatch(set, q.replicas, std::move(batch)));
   }
   q.flusher_active = false;
 }
 
-sim::Task<> RbioClient::ResolveSingle(ReplicaSet replicas,
+sim::Task<> RbioClient::ResolveSingle(EndpointSet* set, ReplicaSet replicas,
                                       PendingGet* entry) {
-  entry->result =
-      co_await GetPageSingle(*replicas, entry->page_id, entry->min_lsn);
+  entry->result = co_await GetPageSingle(set, *replicas, entry->page_id,
+                                         entry->min_lsn);
   entry->done.Set();
   ReleasePending(entry);
 }
 
-sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas, std::string key,
+sim::Task<> RbioClient::FlushBatch(EndpointSet* set, ReplicaSet replicas,
                                    std::vector<PendingGet*> batch) {
   if (batch.size() == 1) {
     // Nothing to multiplex: identical wire behavior to the unbatched
     // path.
-    co_await ResolveSingle(std::move(replicas), batch[0]);
+    co_await ResolveSingle(set, std::move(replicas), batch[0]);
     co_return;
   }
   GetPageBatchRequest req;
@@ -855,13 +813,9 @@ sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas, std::string key,
       opts_.cpu_per_request_us +
       (batch.size() - 1) * opts_.cpu_per_batched_page_us;
   std::string reqframe = AcquireFrame();
-  // Batch frames carry the oldest version whose semantics match
-  // (kGetPageBatch is unchanged since v3), so a v4 client's batches
-  // interoperate with v3 servers without renegotiation.
-  req.EncodeTo(&reqframe,
-               std::min<uint16_t>(opts_.protocol_version, kBatchFrameVersion));
+  req.EncodeTo(&reqframe);
   Result<std::string> raw =
-      co_await RoundtripRaw(*replicas, std::move(reqframe), cpu_us);
+      co_await RoundtripRaw(set, *replicas, std::move(reqframe), cpu_us);
   GetPageBatchResponse resp;
   Status ds = raw.status();
   if (raw.ok()) {
@@ -869,16 +823,14 @@ sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas, std::string key,
     *fp = std::move(*raw);
     ds = GetPageBatchResponse::Decode(fp, &resp);
   }
-  BatchQueue& q = batch_queues_[key];
   if (ds.ok() && resp.status.IsNotSupported() && resp.entries.empty()) {
-    // Automatic versioning (§3.4): a pre-v3 server rejected the batch
-    // frame. Degrade this endpoint set to per-page singles for good and
-    // resolve the stranded sub-requests individually.
-    q.support_known = true;
-    q.supported = false;
+    // Automatic versioning (§3.4): a server below the batch level
+    // rejected the frame (RoundtripRaw lowered the set's level, so later
+    // misses go out as singles). Resolve the stranded sub-requests
+    // individually.
     batch_fallbacks_ += batch.size();
     for (auto& e : batch) {
-      sim::Spawn(sim_, ResolveSingle(replicas, e));
+      sim::Spawn(sim_, ResolveSingle(set, replicas, e));
     }
     co_return;
   }
@@ -907,34 +859,6 @@ sim::Task<> RbioClient::FlushBatch(ReplicaSet replicas, std::string key,
     batch[i]->done.Set();
     ReleasePending(batch[i]);
   }
-  if (ds.ok() && resp.status.ok()) {
-    q.support_known = true;
-    q.supported = true;
-  }
-}
-
-sim::Task<Result<std::vector<storage::Page>>> RbioClient::GetPageRange(
-    const std::vector<Endpoint>& replicas, PageId first_page,
-    uint32_t count, Lsn min_lsn) {
-  GetPageRangeRequest req;
-  req.first_page = first_page;
-  req.count = count;
-  req.min_lsn = min_lsn;
-  uint16_t version =
-      std::min<uint16_t>(opts_.protocol_version, kGetPageFrameVersion);
-  std::string frame = AcquireFrame();
-  req.EncodeTo(&frame, version);
-  Result<PageResponse> resp = co_await Roundtrip(replicas, std::move(frame));
-  if (!resp.ok()) {
-    co_return Result<std::vector<storage::Page>>(resp.status());
-  }
-  if (!resp->status.ok()) {
-    co_return Result<std::vector<storage::Page>>(resp->status);
-  }
-  for (storage::Page& p : resp->pages) {
-    SOCRATES_CO_RETURN_IF_ERROR(p.VerifyChecksum());
-  }
-  co_return std::move(resp->pages);
 }
 
 sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(
@@ -944,41 +868,29 @@ sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(
   static const Status kBackedOff =
       Status::Overloaded("rbio: endpoint in overload backoff");
   scan_requests_++;
-  // Frames carry the lowest version whose vocabulary covers the spec:
-  // a v4-expressible scan is byte-identical to the pre-v5 wire and a
-  // v4 server serves it without negotiation.
-  uint16_t frame_version = req.MinFrameVersion();
-  if (replicas.empty() || opts_.protocol_version < frame_version) {
-    // A client too old for the frame never emits it (mixed-version
-    // deployments): the caller takes the page-based path immediately.
+  if (replicas.empty()) {
     scan_fallbacks_++;
     co_return Result<ScanRangeResponse>(kNotSupp);
   }
-  std::string key;
-  for (const Endpoint& ep : replicas) {
-    key += ep.name;
-    key += '|';
-  }
-  ScanSupport& sup = scan_support_[key];
-  if (sup.known && sup.max_version < frame_version) {
-    // This endpoint set rejected a frame at (or below) this version
-    // before: short-circuit without wire traffic so repeated planner
-    // probes cost nothing. v4 scans still flow to a set that only
-    // rejected v5 vocabulary.
+  EndpointSet& sup = SetFor(replicas);
+  if (sup.level < req.RequiredLevel()) {
+    // The endpoint set is known to be below this scan's level: short-
+    // circuit without wire traffic so repeated planner probes cost
+    // nothing. v4 scans still flow to a level-4 set.
     scan_fallbacks_++;
     co_return Result<ScanRangeResponse>(kNotSupp);
   }
   if (sup.backoff_until > sim_.now()) {
     // The set shed a scan recently (kOverloaded): stay off it until the
-    // backoff expires. Temporary, unlike the version memo above.
+    // backoff expires. Temporary, unlike the learned level above.
     scans_overloaded_++;
     co_return Result<ScanRangeResponse>(kBackedOff);
   }
   scans_sent_++;
   std::string frame = AcquireFrame();
-  req.EncodeTo(&frame, frame_version);
+  req.EncodeTo(&frame);
   Result<std::string> raw = co_await RoundtripRaw(
-      replicas, std::move(frame), opts_.cpu_per_request_us);
+      &sup, replicas, std::move(frame), opts_.cpu_per_request_us);
   if (!raw.ok()) co_return Result<ScanRangeResponse>(raw.status());
   ScanRangeResponse resp;
   std::shared_ptr<std::string> fp = AcquireRespFrame();
@@ -986,13 +898,9 @@ sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(
   Status ds = ScanRangeResponse::Decode(fp, &resp);
   if (!ds.ok()) co_return Result<ScanRangeResponse>(ds);
   if (resp.status.IsNotSupported()) {
-    // Automatic versioning (§3.4): the server rejected this frame
-    // version. Cap the memo one tier below what we sent — a v4-capped
-    // server that rejected v5 vocabulary still speaks v4 — and let the
-    // caller degrade (to a v4 plan or to page-based scans).
-    sup.known = true;
-    sup.max_version =
-        std::min<uint16_t>(sup.max_version, frame_version - 1);
+    // Automatic versioning (§3.4): the server is below this scan's
+    // level (RoundtripRaw already lowered the set's level); the caller
+    // degrades to a v4 plan or to page-based scans.
     scan_fallbacks_++;
     co_return Result<ScanRangeResponse>(resp.status);
   }
@@ -1005,7 +913,6 @@ sim::Task<Result<ScanRangeResponse>> RbioClient::ScanRange(
     co_return Result<ScanRangeResponse>(resp.status);
   }
   if (!resp.status.ok()) co_return Result<ScanRangeResponse>(resp.status);
-  sup.known = true;
   scan_tuples_received_ += resp.tuples.size();
   // Tuple frames are variable-size, so decode CPU scales with the bytes
   // actually shipped (fixed-size page frames amortize this into

@@ -6,20 +6,27 @@
 //  * stateless        — every request is self-contained;
 //  * strongly typed   — explicit message structs with a wire codec, not
 //                       raw byte passing;
-//  * automatic versioning — every frame carries a protocol version; a
-//                       server rejects versions it cannot serve and the
-//                       client surfaces the mismatch cleanly (and, for
-//                       batch frames, degrades to per-page singles);
+//  * automatic versioning — see "Levels" below;
 //  * resilient to transient failures — bounded retries with backoff;
 //  * QoS support for best replica selection — the client tracks an EWMA
 //    of observed latency per endpoint and routes to the fastest healthy
 //    replica, failing over on Unavailable.
 //
-// Messages: GetPage (the §4.4 GetPage@LSN call), GetPageRange (multi-
-// page reads — a single request for up-to-128-page scans, the access
-// pattern the Page Server's stride-preserving covering cache exists to
-// serve, §4.6), and GetPageBatch (protocol v3: many unrelated GetPage
-// sub-requests multiplexed into one frame).
+// Messages: GetPage (the §4.4 GetPage@LSN call), GetPageBatch (many
+// unrelated GetPage sub-requests multiplexed into one frame) and
+// ScanRange (computation pushdown). Each has exactly one body layout.
+//
+// Levels. A protocol version names a capability level, not a layout.
+// RequiredLevel() is the one rule: a request is stamped with the lowest
+// level that can serve it (GetPage 1, batch 3, scan 4, scan using the
+// v5 vocabulary 5), and every response is stamped with the serving
+// server's level. A server checks a request's stamp in one place: a
+// stamp above its own level is NotSupported (an old server rejects what
+// it cannot serve), a stamp below what the message needs is malformed.
+// The client keeps one learned level per endpoint set, starting at
+// kProtocolVersion and lowered by response stamps and NotSupported
+// replies; whether a batch, a scan or a v5 scan may be sent is read from
+// that level alone. A config-epoch change resets it (ResetLevels).
 //
 // Batched multiplexing: GetPage@LSN is the hottest cross-tier path, and
 // per-page frames pay one full network round trip plus fixed per-request
@@ -27,9 +34,8 @@
 // concurrent misses destined for the same Page Server are queued and
 // packed into a single kGetPageBatch frame (flushed when max_batch
 // sub-requests are queued, or at the next simulator tick when no further
-// miss arrives — so a lone miss pays zero extra latency). A server that
-// does not speak v3 rejects the frame with NotSupported and the client
-// degrades that endpoint set to per-page v2 singles permanently.
+// miss arrives — so a lone miss pays zero extra latency). Below level 3
+// the batcher sends per-page singles instead.
 
 #pragma once
 
@@ -56,43 +62,27 @@
 namespace socrates {
 namespace rbio {
 
+/// The highest capability level this build speaks.
 inline constexpr uint16_t kProtocolVersion = 5;
-/// Oldest protocol version a server still understands.
-inline constexpr uint16_t kMinSupportedVersion = 1;
-/// First version that understands kGetPageBatch frames.
-inline constexpr uint16_t kBatchMinVersion = 3;
-/// First version that understands kScanRange (computation pushdown).
-inline constexpr uint16_t kScanRangeMinVersion = 4;
-/// First version that understands the v5 scan-expression vocabulary
-/// (key-range predicates, conjunctions, multi-field aggregates). Scan
-/// frames are stamped with the *lowest* version whose vocabulary covers
-/// the spec — a v4-expressible scan still goes out as v4, byte-identical,
-/// and interoperates with v4 servers without negotiation.
-inline constexpr uint16_t kScanExprV5MinVersion = 5;
-/// Wire version per-page frames are encoded at: the oldest version whose
-/// GetPage/GetPageRange semantics match (unchanged since v2), so a v4
-/// client's singles interoperate with v2 servers without negotiation.
-inline constexpr uint16_t kGetPageFrameVersion = 2;
-/// Wire version batch frames are encoded at: kGetPageBatch semantics are
-/// unchanged since v3, so a v4 client's batches interoperate with v3
-/// servers without negotiation (only kScanRange frames carry v4).
-inline constexpr uint16_t kBatchFrameVersion = 3;
-/// Wire version stamped on page/batch response frames. Response formats
-/// are unchanged since v3 and decoders ignore the value; pinning it
-/// keeps every pre-v4 response byte-identical across the version bump.
-inline constexpr uint16_t kPageResponseVersion = 3;
-/// Wire version stamped on scan responses that use only v4 shapes
-/// (tuples or a single aggregate). Multi-aggregate responses stamp
-/// kScanExprV5MinVersion; everything else is pinned so pre-v5 scan
-/// responses stay byte-identical across the version bump.
-inline constexpr uint16_t kScanResponseVersion = 4;
 
 enum class MessageType : uint8_t {
   kGetPage = 1,
-  kGetPageRange = 2,
   kGetPageBatch = 3,
   kScanRange = 4,
 };
+
+/// The one versioning rule: the lowest level that can serve a message of
+/// `type` (0 for a type this build does not know). A scan using the v5
+/// vocabulary (key-range ops, conjunctions, extra aggregates) needs 5.
+inline constexpr uint16_t RequiredLevel(MessageType type,
+                                        bool v5_vocabulary = false) {
+  switch (type) {
+    case MessageType::kGetPage: return 1;
+    case MessageType::kGetPageBatch: return 3;
+    case MessageType::kScanRange: return v5_vocabulary ? 5 : 4;
+  }
+  return 0;
+}
 
 /// Peek a frame's type byte without decoding (0 if truncated). Servers
 /// dispatch on this instead of try-decoding each format in turn — a
@@ -102,32 +92,25 @@ inline MessageType PeekMessageType(const std::string& frame) {
                            : static_cast<MessageType>(0);
 }
 
+// Request codecs. Encode stamps the request's RequiredLevel(). Decode
+// rejects a stamp above `server_level` with NotSupported and a malformed
+// frame (truncated, wrong type, stamp below what the request needs) with
+// Corruption or InvalidArgument; `*level` receives the stamp.
+
 struct GetPageRequest {
   PageId page_id = kInvalidPageId;
   Lsn min_lsn = kInvalidLsn;
 
-  std::string Encode(uint16_t version = kProtocolVersion) const;
+  std::string Encode() const;
   /// Encode into a caller-owned buffer (cleared first) so hot paths can
   /// recycle string capacity instead of allocating per frame.
-  void EncodeTo(std::string* out, uint16_t version = kProtocolVersion) const;
-  static Status Decode(Slice wire, GetPageRequest* out, uint16_t* version,
-                       uint16_t max_version = kProtocolVersion);
+  void EncodeTo(std::string* out) const;
+  static Status Decode(Slice wire, GetPageRequest* out, uint16_t* level,
+                       uint16_t server_level = kProtocolVersion);
 };
 
-struct GetPageRangeRequest {
-  PageId first_page = kInvalidPageId;
-  uint32_t count = 0;
-  Lsn min_lsn = kInvalidLsn;
-
-  std::string Encode(uint16_t version = kProtocolVersion) const;
-  void EncodeTo(std::string* out, uint16_t version = kProtocolVersion) const;
-  static Status Decode(Slice wire, GetPageRangeRequest* out,
-                       uint16_t* version,
-                       uint16_t max_version = kProtocolVersion);
-};
-
-/// Protocol v3: many independent GetPage@LSN sub-requests multiplexed
-/// into one frame — one network round trip for the whole batch.
+/// Many independent GetPage@LSN sub-requests multiplexed into one frame
+/// — one network round trip for the whole batch.
 struct GetPageBatchRequest {
   struct Entry {
     PageId page_id = kInvalidPageId;
@@ -135,19 +118,21 @@ struct GetPageBatchRequest {
   };
   std::vector<Entry> entries;
 
-  std::string Encode(uint16_t version = kProtocolVersion) const;
-  void EncodeTo(std::string* out, uint16_t version = kProtocolVersion) const;
-  static Status Decode(Slice wire, GetPageBatchRequest* out,
-                       uint16_t* version,
-                       uint16_t max_version = kProtocolVersion);
+  std::string Encode() const;
+  void EncodeTo(std::string* out) const;
+  static Status Decode(Slice wire, GetPageBatchRequest* out, uint16_t* level,
+                       uint16_t server_level = kProtocolVersion);
 };
+
+// Response codecs. Every response starts [u16 level][status]; Encode
+// stamps `level`, the serving server's level.
 
 /// Response: status code + zero or more full page images (checksummed).
 struct PageResponse {
   Status status;
   std::vector<storage::Page> pages;
 
-  std::string Encode() const;
+  std::string Encode(uint16_t level = kProtocolVersion) const;
   static Status Decode(Slice wire, PageResponse* out);
   /// Zero-copy decode: the pages alias into `*frame` (sharing ownership)
   /// instead of copying each 8 KiB image. Mutating a decoded page COW-
@@ -157,10 +142,9 @@ struct PageResponse {
 };
 
 /// Response to a kGetPageBatch frame: per-sub-request status + page, in
-/// request order. The wire prefix (version, overall status) is identical
-/// to PageResponse with zero pages, so a pre-v3 server's NotSupported
-/// PageResponse decodes cleanly as an empty batch response — that is the
-/// negotiation fallback signal.
+/// request order. The wire prefix (level, overall status) is identical
+/// to PageResponse with zero pages, so an old server's NotSupported
+/// PageResponse decodes cleanly as an empty batch response.
 struct GetPageBatchResponse {
   struct Entry {
     Status status;
@@ -169,14 +153,14 @@ struct GetPageBatchResponse {
   Status status;  // overall (transport/protocol-level) status
   std::vector<Entry> entries;
 
-  std::string Encode() const;
+  std::string Encode(uint16_t level = kProtocolVersion) const;
   static Status Decode(Slice wire, GetPageBatchResponse* out);
   /// Zero-copy decode; see PageResponse::Decode(frame).
   static Status Decode(std::shared_ptr<const std::string> frame,
                        GetPageBatchResponse* out);
 };
 
-/// Protocol v4 (computation pushdown): evaluate a predicate +
+/// Computation pushdown: evaluate a predicate +
 /// projection (or partial aggregate) over the key range
 /// [start_key, end_key) directly on the Page Server's covering RBPEX,
 /// walking leaves from `start_page` at freshness `min_lsn` and snapshot
@@ -200,32 +184,28 @@ struct ScanRangeRequest {
   common::ScanPredicate predicate;
   common::ScanProjection projection;
   common::ScanAggregate aggregate;
-  /// v5 multi-field aggregates: extra specs evaluated in the same pass
-  /// as `aggregate` (which stays the primary field — a request whose
-  /// extra list is empty is v4-expressible). Total fields are bounded by
-  /// common::kMaxScanAggregates.
+  /// Multi-field aggregates: extra specs evaluated in the same pass as
+  /// `aggregate` (which stays the primary field). Total fields are
+  /// bounded by common::kMaxScanAggregates.
   common::ScanAggregateList extra_aggregates;
 
-  /// True iff this request uses v5-only vocabulary and therefore must
-  /// be framed at kScanExprV5MinVersion or above.
-  bool NeedsV5() const {
-    return predicate.NeedsV5() || !extra_aggregates.empty();
-  }
-  /// The lowest frame version whose vocabulary covers this request.
-  uint16_t MinFrameVersion() const {
-    return NeedsV5() ? kScanExprV5MinVersion : kScanRangeMinVersion;
+  /// The level this scan needs (see rbio::RequiredLevel).
+  uint16_t RequiredLevel() const {
+    return rbio::RequiredLevel(
+        MessageType::kScanRange,
+        predicate.NeedsV5() || !extra_aggregates.empty());
   }
 
-  std::string Encode(uint16_t version = kProtocolVersion) const;
-  void EncodeTo(std::string* out, uint16_t version = kProtocolVersion) const;
-  static Status Decode(Slice wire, ScanRangeRequest* out, uint16_t* version,
-                       uint16_t max_version = kProtocolVersion);
+  std::string Encode() const;
+  void EncodeTo(std::string* out) const;
+  static Status Decode(Slice wire, ScanRangeRequest* out, uint16_t* level,
+                       uint16_t server_level = kProtocolVersion);
 };
 
-/// kScanRange response. The wire prefix ([u16 version][status]) is the
-/// format-shared one, so a pre-v4 server's NotSupported PageResponse
-/// decodes cleanly as an error ScanRangeResponse — that is the
-/// negotiation fallback signal, exactly like kGetPageBatch.
+/// kScanRange response. The wire prefix ([u16 level][status]) is the
+/// format-shared one, so an old server's NotSupported PageResponse
+/// decodes cleanly as an error ScanRangeResponse, exactly like
+/// kGetPageBatch.
 struct ScanRangeResponse {
   Status status;
   /// True when the whole requested range was evaluated; false means the
@@ -245,10 +225,8 @@ struct ScanRangeResponse {
   uint64_t rows_scanned = 0;
   uint32_t pages_scanned = 0;
   common::AggState agg;  // valid iff aggregated
-  /// v5: partial states for the request's extra_aggregates, in spec
-  /// order (`agg` holds the primary field's state). A response with a
-  /// non-empty list is stamped kScanExprV5MinVersion on the wire; all
-  /// other responses keep the pinned v4 shape.
+  /// Partial states for the request's extra_aggregates, in spec order
+  /// (`agg` holds the primary field's state).
   std::vector<common::AggState> extra_aggs;
   /// Qualifying projected tuples, in key order. Values alias the decoded
   /// response frame (zero-copy; `owner` keeps it alive).
@@ -259,7 +237,7 @@ struct ScanRangeResponse {
   std::vector<Tuple> tuples;
   std::shared_ptr<const std::string> owner;
 
-  std::string Encode() const;
+  std::string Encode(uint16_t level = kProtocolVersion) const;
   static Status Decode(std::shared_ptr<const std::string> frame,
                        ScanRangeResponse* out);
 };
@@ -269,7 +247,8 @@ struct ScanRangeResponse {
 /// byte-identical to PageResponse::Encode, but the server's GetPage hot
 /// path skips the per-response page vector.
 std::string EncodeSinglePageResponse(const Status& status,
-                                     const storage::Page* page);
+                                     const storage::Page* page,
+                                     uint16_t level = kProtocolVersion);
 
 /// Decode a PageResponse expected to carry exactly one page. `*page`
 /// aliases into `frame` (zero-copy); no per-response vector. An error
@@ -278,7 +257,14 @@ Status DecodeSinglePageResponse(
     const std::shared_ptr<const std::string>& frame, Status* status,
     storage::Page* page);
 
-/// Peek the format-shared [u16 version][status] prefix every response
+/// Decode and judge a request frame's [u16 level][u8 type] header — the
+/// one place a stamp is checked (every request Decode calls it):
+/// NotSupported above `server_level`, InvalidArgument for an unknown
+/// type, Corruption when truncated or stamped below RequiredLevel(type).
+Status DecodeRequestHeader(Slice* wire, uint16_t server_level,
+                           uint16_t* level, MessageType* type);
+
+/// Peek the format-shared [u16 level][status] prefix every response
 /// format starts with. Interposers (the fleet gateway) classify a
 /// forwarded response — e.g. a Page Server's kOverloaded scan shed —
 /// without knowing or decoding the format-specific payload.
@@ -314,26 +300,21 @@ struct RbioClientOptions {
   double ewma_alpha = 0.2;
   /// Pack up to this many concurrent GetPage misses per endpoint set
   /// into one kGetPageBatch frame. 1 disables batching entirely: every
-  /// miss goes out as a per-page frame, byte-identical to protocol v2.
+  /// miss goes out as a per-page frame.
   uint32_t max_batch = 16;
-  /// Highest protocol version this client speaks. A < v3 client never
-  /// emits batch frames, a < v4 client never emits kScanRange frames
-  /// (mixed-version deployments, §3.4 automatic versioning).
-  uint16_t protocol_version = kProtocolVersion;
   /// Client-side CPU charged per KiB of pushdown result decoded (tuple
   /// frames are variable-size, unlike the fixed 8 KiB page frames whose
   /// cost cpu_per_request_us already amortizes).
   double cpu_per_result_kb_us = 2.0;
   /// How long ScanRange avoids an endpoint set after it replied
-  /// kOverloaded (scan admission shed the work). Unlike the NotSupported
-  /// memo this is time-based, not permanent: overload passes, protocol
-  /// versions don't. During the window scans short-circuit to Overloaded
-  /// without wire traffic and the planner runs its local plan.
+  /// kOverloaded (scan admission shed the work). Unlike the learned level
+  /// this is time-based: overload passes, protocol levels don't. During
+  /// the window scans short-circuit to Overloaded without wire traffic
+  /// and the planner runs its local plan.
   SimTime overload_backoff_us = 50 * 1000;
   /// Compute <-> Page Server wire bandwidth in MB/s: each leg pays an
   /// extra frame_bytes / bandwidth transfer term on top of the sampled
-  /// base latency (1 MB/s == 1 byte/us). 0 keeps the pre-v4 behavior
-  /// (base latency only), byte-identical in time for existing traffic.
+  /// base latency (1 MB/s == 1 byte/us). 0 charges base latency only.
   double wire_mb_per_s = 0;
   /// Chaos injection: when set, every frame consults the hub for a
   /// partition / lossy-link verdict between `site` (this node) and the
@@ -358,16 +339,10 @@ class RbioClient {
   sim::Task<Result<storage::Page>> GetPage(
       const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn);
 
-  /// Multi-page read (scan readahead): pages [first, first+count) as of
-  /// min_lsn. Pages that do not exist are simply absent from the result.
-  sim::Task<Result<std::vector<storage::Page>>> GetPageRange(
-      const std::vector<Endpoint>& replicas, PageId first_page,
-      uint32_t count, Lsn min_lsn);
-
-  /// Computation pushdown (protocol v4): evaluate `req` on the best
-  /// replica. A NotSupported response (pre-v4 server) is memoized per
-  /// endpoint set — subsequent calls short-circuit without wire traffic
-  /// so the planner's page-based fallback costs nothing extra.
+  /// Computation pushdown: evaluate `req` on the best replica. When the
+  /// endpoint set's learned level is below req.RequiredLevel() the call
+  /// returns NotSupported without wire traffic, so the planner's
+  /// page-based fallback costs nothing extra.
   sim::Task<Result<ScanRangeResponse>> ScanRange(
       const std::vector<Endpoint>& replicas, const ScanRangeRequest& req);
 
@@ -384,9 +359,9 @@ class RbioClient {
   // ----- Pushdown counters.
   /// ScanRange calls made by the planner.
   uint64_t scan_requests() const { return scan_requests_; }
-  /// kScanRange frames actually sent (excludes memoized short-circuits).
+  /// kScanRange frames actually sent (excludes level short-circuits).
   uint64_t scans_sent() const { return scans_sent_; }
-  /// ScanRange calls resolved NotSupported (fresh rejection or memoized).
+  /// ScanRange calls resolved NotSupported (rejected or short-circuited).
   uint64_t scan_fallbacks() const { return scan_fallbacks_; }
   /// ScanRange calls resolved Overloaded (server shed the scan, or the
   /// endpoint set is inside its overload-backoff window).
@@ -394,30 +369,36 @@ class RbioClient {
   /// Qualifying tuples received in ScanRange responses.
   uint64_t scan_tuples_received() const { return scan_tuples_received_; }
 
-  /// Drop every memoized scan/batch capability verdict (and any overload
-  /// backoff). Call on config-epoch change: after a failover or reseed
-  /// the endpoint name may now be served by a replacement speaking a
-  /// different RBIO version, so a stale memo would either skip an
-  /// eligible server forever or keep a degraded path pinned.
-  void InvalidateScanSupport() {
-    scan_support_.clear();
-    for (auto& [key, q] : batch_queues_) {
-      q.support_known = false;
-      q.supported = true;
+  /// Reset every endpoint set's learned level to kProtocolVersion (and
+  /// drop any overload backoff). Call on config-epoch change: after a
+  /// failover or reseed the endpoint name may now be served by a
+  /// replacement at a different level, so a stale level would either
+  /// skip an eligible server forever or keep a degraded path pinned.
+  void ResetLevels() {
+    for (auto& [key, set] : sets_) {
+      set.level = kProtocolVersion;
+      set.backoff_until = 0;
     }
   }
 
+  // Per-endpoint-set state is keyed by the concatenated replica names,
+  // each followed by '|'. All per-endpoint state in this client (EWMA,
+  // learned level, overload backoff) is keyed by endpoint *name*; in a
+  // multi-tenant fleet each tenant's client sees tenant-prefixed names,
+  // so backoff earned by one tenant tripping a server's admission
+  // control is scoped (tenant, endpoint) and never bleeds into a
+  // neighbor's scans against the same physical server.
+
+  /// The level learned for an endpoint set (kProtocolVersion if unseen).
+  uint16_t LearnedLevel(const std::string& endpoint_key) const {
+    auto it = sets_.find(endpoint_key);
+    return it == sets_.end() ? kProtocolVersion : it->second.level;
+  }
+
   /// Remaining overload-backoff window for an endpoint set, 0 when none.
-  /// The key is the concatenated replica names, each followed by '|' —
-  /// the same key ScanRange builds internally. All per-endpoint state in
-  /// this client (EWMA, capability memos, this backoff) is keyed by
-  /// endpoint *name*; in a multi-tenant fleet each tenant's client sees
-  /// tenant-prefixed names, so backoff earned by one tenant tripping a
-  /// server's admission control is scoped (tenant, endpoint) and never
-  /// bleeds into a neighbor's scans against the same physical server.
   SimTime ScanBackoffRemainingUs(const std::string& endpoint_key) const {
-    auto it = scan_support_.find(endpoint_key);
-    if (it == scan_support_.end()) return 0;
+    auto it = sets_.find(endpoint_key);
+    if (it == sets_.end()) return 0;
     SimTime now = sim_.now();
     return it->second.backoff_until > now ? it->second.backoff_until - now
                                           : 0;
@@ -431,7 +412,7 @@ class RbioClient {
   /// Per-page frames sent for plain (unbatched / batch-of-one) GetPage.
   uint64_t singles_sent() const { return singles_sent_; }
   /// Sub-requests resolved as singles after a server rejected a batch
-  /// frame (version fallback).
+  /// frame (level fallback).
   uint64_t batch_fallbacks() const { return batch_fallbacks_; }
   /// Duplicate page requests coalesced into an already-queued entry.
   uint64_t batch_dedup_hits() const { return batch_dedup_hits_; }
@@ -490,16 +471,19 @@ class RbioClient {
   // into every detached flush.
   using ReplicaSet = std::shared_ptr<const std::vector<Endpoint>>;
 
-  // Per endpoint-set batch state. Endpoint sets are few (one per
-  // partition), so entries live for the client's lifetime.
-  struct BatchQueue {
+  // Per endpoint-set state: the batch queue, the learned level and the
+  // overload backoff. Endpoint sets are few (one per partition), so
+  // entries live for the client's lifetime and may be held by pointer.
+  struct EndpointSet {
     ReplicaSet replicas;
     std::vector<PendingGet*> pending;
     bool flusher_active = false;
-    // Tri-state batch support: unknown (try) / true / false (a server
-    // rejected a v3 frame; stay on singles).
-    bool support_known = false;
-    bool supported = true;
+    // Lowered by response stamps and NotSupported replies; reset by
+    // ResetLevels. Gates batch frames and scans.
+    uint16_t level = kProtocolVersion;
+    // The temporary kOverloaded signal: admission pressure passes,
+    // levels don't.
+    SimTime backoff_until = 0;
   };
 
   PendingGet* AcquirePending(PageId page_id, Lsn min_lsn);
@@ -517,9 +501,7 @@ class RbioClient {
   // the shared_ptr control block.
   std::shared_ptr<std::string> AcquireRespFrame();
 
-  bool BatchingEnabled() const {
-    return opts_.max_batch > 1 && opts_.protocol_version >= kBatchMinVersion;
-  }
+  EndpointSet& SetFor(const std::vector<Endpoint>& replicas);
 
   // Pick the healthy endpoint with the lowest EWMA latency; unknown
   // endpoints count as fastest (explore once).
@@ -528,24 +510,25 @@ class RbioClient {
 
   // One frame out / one frame back, with retries, backoff and QoS
   // replica selection. Retries on transport errors and on responses
-  // whose (format-shared) status prefix is Unavailable/Busy.
+  // whose (format-shared) status prefix is Unavailable. Every response
+  // lowers `set`'s learned level to its stamp; a NotSupported reply
+  // lowers it below the request's own stamp.
   sim::Task<Result<std::string>> RoundtripRaw(
-      const std::vector<Endpoint>& replicas, std::string frame,
-      SimTime cpu_us);
-
-  sim::Task<Result<PageResponse>> Roundtrip(
-      const std::vector<Endpoint>& replicas, std::string frame);
+      EndpointSet* set, const std::vector<Endpoint>& replicas,
+      std::string frame, SimTime cpu_us);
 
   // The unbatched GetPage path (also the fallback for rejected batches).
   sim::Task<Result<storage::Page>> GetPageSingle(
-      const std::vector<Endpoint>& replicas, PageId page_id, Lsn min_lsn);
+      EndpointSet* set, const std::vector<Endpoint>& replicas,
+      PageId page_id, Lsn min_lsn);
 
   // Drains a queue: flushes full batches this tick, one frame per
   // max_batch sub-requests, each as a detached round trip.
-  sim::Task<> BatchFlusher(std::string key);
-  sim::Task<> FlushBatch(ReplicaSet replicas, std::string key,
+  sim::Task<> BatchFlusher(EndpointSet* set);
+  sim::Task<> FlushBatch(EndpointSet* set, ReplicaSet replicas,
                          std::vector<PendingGet*> batch);
-  sim::Task<> ResolveSingle(ReplicaSet replicas, PendingGet* entry);
+  sim::Task<> ResolveSingle(EndpointSet* set, ReplicaSet replicas,
+                            PendingGet* entry);
 
   struct EndpointStats {
     double ewma_us = 0;
@@ -556,21 +539,9 @@ class RbioClient {
   sim::CpuResource* cpu_;
   RbioClientOptions opts_;
   mutable Random rng_;
-  // Per-endpoint-set kScanRange capability, mirroring BatchQueue's batch
-  // negotiation but tiered by frame version: optimistic until a frame at
-  // some version is rejected, after which max_version caps what this set
-  // is believed to speak (a v4-capped server still serves v4 scans after
-  // rejecting a v5 one). `backoff_until` is the orthogonal, *temporary*
-  // kOverloaded signal — admission pressure passes, versions don't.
-  struct ScanSupport {
-    bool known = false;
-    uint16_t max_version = kProtocolVersion;
-    SimTime backoff_until = 0;
-  };
 
   std::map<std::string, EndpointStats> stats_;
-  std::map<std::string, BatchQueue> batch_queues_;
-  std::map<std::string, ScanSupport> scan_support_;
+  std::map<std::string, EndpointSet> sets_;
   std::vector<PendingGet*> pending_pool_;
   std::vector<std::string> frame_pool_;
   std::vector<std::shared_ptr<std::string>> resp_frame_pool_;

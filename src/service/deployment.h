@@ -294,11 +294,11 @@ class Deployment {
                                            : router_.get();
   }
 
-  // Complete a reconfiguration: bump the config epoch and drop every
-  // live compute node's memoized per-endpoint scan capability — an
-  // endpoint name may now resolve to a different server (a replica
-  // promoted, a recovered server at another rbio version), so negative
-  // NotSupported memos and overload backoffs must be re-probed.
+  // Complete a reconfiguration: bump the config epoch and reset every
+  // live compute node's learned RBIO levels — an endpoint name may now
+  // resolve to a different server (a replica promoted, a recovered
+  // server at another RBIO level), so levels and overload backoffs must
+  // be learned again.
   void BumpConfigEpoch();
 
   sim::Simulator& sim_;

@@ -19,12 +19,11 @@ constexpr size_t kHeaderBytes = 4 + 2 + 1 + 8 + 4 + 4 + 4;
 
 }  // namespace
 
-std::string EncodeBlockFrame(const LogBlock& block, uint16_t version,
-                             bool compress) {
+std::string EncodeBlockFrame(const LogBlock& block, bool compress) {
   std::string frame;
   std::string stored;
   uint8_t flags = 0;
-  if (version >= kBlockFrameV2 && compress && !block.payload().empty()) {
+  if (compress && !block.payload().empty()) {
     compress::Compress(Slice(block.payload()), &stored);
     if (stored.size() < block.payload().size()) {
       flags |= kBlockFrameFlagCompressed;
@@ -37,7 +36,7 @@ std::string EncodeBlockFrame(const LogBlock& block, uint16_t version,
   frame.reserve(kHeaderBytes + 4 * block.partitions().size() +
                 body.size() + 4);
   PutFixed32(&frame, kFrameMagic);
-  PutFixed16(&frame, version);
+  PutFixed16(&frame, kBlockFrameVersion);
   frame.push_back(static_cast<char>(flags));
   PutFixed64(&frame, block.start_lsn);
   PutFixed32(&frame, static_cast<uint32_t>(block.payload().size()));
@@ -50,7 +49,7 @@ std::string EncodeBlockFrame(const LogBlock& block, uint16_t version,
   return frame;
 }
 
-Status DecodeBlockFrame(Slice frame, uint16_t max_version, LogBlock* out) {
+Status DecodeBlockFrame(Slice frame, LogBlock* out) {
   if (frame.size() < kHeaderBytes + 4) {
     return Status::Corruption("block frame truncated");
   }
@@ -58,16 +57,12 @@ Status DecodeBlockFrame(Slice frame, uint16_t max_version, LogBlock* out) {
   if (DecodeFixed32(p) != kFrameMagic) {
     return Status::Corruption("block frame bad magic");
   }
-  uint16_t version = DecodeFixed16(p + 4);
-  if (version == 0 || version > kBlockFrameVersionMax) {
-    return Status::Corruption("block frame unknown version");
-  }
-  if (version > max_version) {
-    return Status::NotSupported("block frame version too new");
+  if (DecodeFixed16(p + 4) != kBlockFrameVersion) {
+    return Status::NotSupported("block frame version not supported");
   }
   uint8_t flags = static_cast<uint8_t>(p[6]);
-  if (version < kBlockFrameV2 && flags != 0) {
-    return Status::Corruption("block frame v1 with flags");
+  if ((flags & ~kBlockFrameFlagCompressed) != 0) {
+    return Status::Corruption("block frame unknown flags");
   }
   Lsn start_lsn = DecodeFixed64(p + 7);
   uint32_t raw_len = DecodeFixed32(p + 15);

@@ -7,11 +7,11 @@
 // (§4.6 "block filtering").
 //
 // On the wire (Primary -> XLOG lossy channel) a block travels as a
-// versioned, checksummed **block frame**. Frame v1 carries the payload
-// raw; v2 adds optional compression. Version negotiation follows the
-// RBIO kGetPageBatch dance: the sender starts at its highest version and
-// degrades to v1 when the receiver answers NotSupported, so mixed-version
-// deployments keep logging in both directions.
+// checksummed **block frame** whose payload may be compressed. Frames
+// carry a version and a receiver accepts only its own: block frames
+// exist only on the async wire and are never persisted, so nothing
+// stored depends on an older layout, and a lost or rejected frame is
+// repaired from the LZ like any other loss.
 
 #pragma once
 
@@ -101,27 +101,24 @@ struct LogBlock {
 
 // ----------------------------------------------------------------- frames
 
-/// Frame v1: raw payload. The floor every XLOG build understands.
-inline constexpr uint16_t kBlockFrameV1 = 1;
-/// Frame v2: payload may be compressed (flag bit 0).
-inline constexpr uint16_t kBlockFrameV2 = 2;
-inline constexpr uint16_t kBlockFrameVersionMax = kBlockFrameV2;
+/// The one block-frame layout this build speaks.
+inline constexpr uint16_t kBlockFrameVersion = 2;
 
+/// Flag bit 0: the payload is compressed. No other bit is defined.
 inline constexpr uint8_t kBlockFrameFlagCompressed = 0x1;
 
-/// Encode `block` as a wire frame. `version` selects the layout;
-/// `compress` (v2 only) LZ-compresses the payload when that actually
-/// shrinks it — incompressible blocks are sent raw with the flag clear,
-/// so the flag always tells the receiver the truth. Returns the frame.
-std::string EncodeBlockFrame(const LogBlock& block, uint16_t version,
-                             bool compress);
+/// Encode `block` as a wire frame. `compress` LZ-compresses the payload
+/// when that actually shrinks it — incompressible blocks are sent raw
+/// with the flag clear, so the flag always tells the receiver the truth.
+std::string EncodeBlockFrame(const LogBlock& block, bool compress);
 
 /// Decode a wire frame into `*out`. Returns:
-///   * NotSupported — frame version > `max_version` (negotiation miss);
-///   * Corruption   — bad magic, truncated frame, checksum mismatch, or a
-///                    payload that does not decompress to its stated size;
+///   * NotSupported — any version other than kBlockFrameVersion;
+///   * Corruption   — bad magic, unknown flags, truncated frame, checksum
+///                    mismatch, or a payload that does not decompress to
+///                    its stated size;
 ///   * OK           — `*out` holds the block with the payload raw again.
-Status DecodeBlockFrame(Slice frame, uint16_t max_version, LogBlock* out);
+Status DecodeBlockFrame(Slice frame, LogBlock* out);
 
 /// Partition mapping: pages are range-partitioned across Page Servers.
 struct PartitionMap {

@@ -21,9 +21,7 @@ XLogClient::XLogClient(sim::Simulator& sim, LandingZone* lz,
       hardened_(sim),
       work_available_(sim),
       inflight_(std::make_unique<sim::Semaphore>(
-          sim, options.max_inflight_writes)),
-      wire_version_(std::min(options.frame_version, kBlockFrameVersionMax)) {
-  if (wire_version_ < kBlockFrameV1) wire_version_ = kBlockFrameV1;
+          sim, options.max_inflight_writes)) {
   hardened_.Advance(lz->durable_end());
   // Hardening follows the LZ's in-order durable frontier; each advance
   // wakes committed transactions (group commit) and tells XLOG it may
@@ -243,9 +241,7 @@ sim::Task<> XLogClient::VisibleWatch(Lsn end, SimTime hardened_at_us) {
 }
 
 sim::Task<> XLogClient::DeliverAsync(LogBlock block) {
-  std::string frame = EncodeBlockFrame(
-      block, wire_version_,
-      opts_.compress_blocks && wire_version_ >= kBlockFrameV2);
+  std::string frame = EncodeBlockFrame(block, opts_.compress_blocks);
   wire_bytes_sent_ += frame.size();
   SimTime link_delay =
       opts_.injector != nullptr
@@ -260,16 +256,8 @@ sim::Task<> XLogClient::DeliverAsync(LogBlock block) {
     deliveries_lost_++;
     co_return;  // lost on the wire; XLOG will repair from the LZ
   }
-  Status s = xlog_->DeliverFrame(Slice(frame));
-  if (s.IsNotSupported() && wire_version_ > kBlockFrameV1) {
-    // Version negotiation miss: the receiver is older than us. Downgrade
-    // for all future sends and re-encode this block at the floor.
-    wire_version_ = kBlockFrameV1;
-    frame_downgrades_++;
-    frame = EncodeBlockFrame(block, wire_version_, false);
-    wire_bytes_sent_ += frame.size();
-    (void)xlog_->DeliverFrame(Slice(frame));
-  }
+  // A frame that fails to decode is dropped; XLOG repairs from the LZ.
+  (void)xlog_->DeliverFrame(Slice(frame));
 }
 
 sim::Task<> XLogClient::NotifyAsync(Lsn hardened) {

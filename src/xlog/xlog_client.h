@@ -24,9 +24,7 @@
 // (bounded) to amortize per-I/O cost over bigger blocks.
 //
 // Blocks may be stored compressed in the LZ and travel the async wire as
-// versioned frames; when the XLOG process answers NotSupported the client
-// downgrades the frame version and re-encodes (kGetPageBatch-style
-// negotiation).
+// checksummed block frames (log_block.h).
 //
 // If the LZ is full (destaging behind) the flusher stalls and retries:
 // the Primary cannot process update transactions until space frees (§4.3).
@@ -89,12 +87,9 @@ struct XLogClientOptions {
   SimTime adaptive_hold_cap_us = 2000;
   double adaptive_ewma_alpha = 0.2;
 
-  /// Compress block payloads (LZ storage and the v2 wire frame). Blocks
+  /// Compress block payloads (LZ storage and the wire frame). Blocks
   /// that do not shrink are kept raw.
   bool compress_blocks = false;
-  /// Highest frame version to attempt on the async wire; downgraded at
-  /// runtime when the receiver answers NotSupported.
-  uint16_t frame_version = kBlockFrameVersionMax;
 };
 
 class XLogClient : public engine::LogSink {
@@ -135,8 +130,6 @@ class XLogClient : public engine::LogSink {
   uint64_t lz_stalls() const { return lz_stalls_; }
   uint64_t adaptive_holds() const { return adaptive_holds_; }
   uint64_t wire_bytes_sent() const { return wire_bytes_sent_; }
-  uint64_t frame_downgrades() const { return frame_downgrades_; }
-  uint16_t wire_version() const { return wire_version_; }
 
   // Commit-path phase histograms (all in microseconds except flush size):
   //   enqueue — first append in a block until the block is cut;
@@ -189,8 +182,6 @@ class XLogClient : public engine::LogSink {
   bool have_last_append_ = false;
   SimTime last_append_us_ = 0;
 
-  uint16_t wire_version_;
-
   uint64_t blocks_written_ = 0;
   uint64_t bytes_written_ = 0;
   uint64_t stored_bytes_written_ = 0;
@@ -199,7 +190,6 @@ class XLogClient : public engine::LogSink {
   uint64_t lz_stalls_ = 0;
   uint64_t adaptive_holds_ = 0;
   uint64_t wire_bytes_sent_ = 0;
-  uint64_t frame_downgrades_ = 0;
 
   Histogram hist_enqueue_us_;
   Histogram hist_quorum_us_;

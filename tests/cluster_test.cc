@@ -122,7 +122,6 @@ TEST(ClusterTest, EvictionAndGetPageAtLsnFreshness) {
   DeploymentOptions o = SmallDeployment(2, 0);
   o.compute.mem_pages = 8;
   o.compute.ssd_pages = 16;  // tiny RBPEX: pages leave the node
-  o.compute.readahead_pages = 8;  // regression: range freshness per page
   Deployment d(s, o);
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());

@@ -559,10 +559,10 @@ TEST(ScanExprV5Test, PredicateV5CodecRoundTrip) {
   p.And(common::ScanPredicate::KeyModEq(7, 3));
   p.And(common::ScanPredicate::PayloadByteLt(12, 200));
   std::string wire;
-  common::EncodePredicateV5(&wire, p);
+  common::EncodePredicate(&wire, p);
   Slice in(wire);
   common::ScanPredicate out;
-  ASSERT_TRUE(common::DecodePredicateV5(&in, &out).ok());
+  ASSERT_TRUE(common::DecodePredicate(&in, &out).ok());
   EXPECT_EQ(out.op, common::PredOp::kKeyRange);
   EXPECT_EQ(out.a, 100u);
   EXPECT_EQ(out.b, 900u);
@@ -574,18 +574,25 @@ TEST(ScanExprV5Test, PredicateV5CodecRoundTrip) {
   for (size_t cut = 0; cut + 1 < wire.size(); cut++) {
     Slice t(wire.data(), cut);
     common::ScanPredicate scratch;
-    EXPECT_FALSE(common::DecodePredicateV5(&t, &scratch).ok());
+    EXPECT_FALSE(common::DecodePredicate(&t, &scratch).ok());
   }
 }
 
-TEST(ScanExprV5Test, V4CodecRejectsV5Vocabulary) {
-  // The frozen v4 decoder answers NotSupported for a v5 op byte — the
-  // negotiation signal an un-upgraded server sends a too-new client.
+TEST(ScanExprV5Test, UnknownOpDecodesAsCorruption) {
+  // An op byte past the vocabulary is a malformed spec, not a version
+  // signal (RBIO levels are judged from the frame header alone).
   std::string wire;
   common::EncodePredicate(&wire, common::ScanPredicate::KeyRange(1, 2));
+  wire[0] = static_cast<char>(0x7f);
   Slice in(wire);
   common::ScanPredicate out;
-  EXPECT_TRUE(common::DecodePredicate(&in, &out).IsNotSupported());
+  EXPECT_TRUE(common::DecodePredicate(&in, &out).IsCorruption());
+  std::string aggs;
+  common::EncodeAggregateList(&aggs, {common::ScanAggregate::Count()});
+  aggs[1] = static_cast<char>(0x7f);
+  Slice ain(aggs);
+  common::ScanAggregateList aout;
+  EXPECT_TRUE(common::DecodeAggregateList(&ain, &aout).IsCorruption());
 }
 
 TEST(ScanExprV5Test, AggregateListCodecRoundTrip) {
@@ -594,10 +601,10 @@ TEST(ScanExprV5Test, AggregateListCodecRoundTrip) {
   aggs.push_back(common::ScanAggregate::Sum(8));
   aggs.push_back(common::ScanAggregate::Max(16));
   std::string wire;
-  common::EncodeAggregateListV5(&wire, aggs);
+  common::EncodeAggregateList(&wire, aggs);
   Slice in(wire);
   common::ScanAggregateList out;
-  ASSERT_TRUE(common::DecodeAggregateListV5(&in, &out).ok());
+  ASSERT_TRUE(common::DecodeAggregateList(&in, &out).ok());
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].fn, common::AggFn::kCount);
   EXPECT_EQ(out[1].fn, common::AggFn::kSum);

@@ -1,6 +1,6 @@
 // Logging tier v2 tests: exact landing-zone space accounting under
-// variable-size (compressed) blocks, versioned block-frame round trips
-// and mixed-version negotiation, corrupt-frame rejection, deterministic
+// variable-size (compressed) blocks, block-frame round trips, version
+// and corrupt-frame rejection, deterministic
 // adaptive block sizing, per-partition stream shards, and the global
 // commit watermark's prefix-correctness guarantee.
 
@@ -148,11 +148,9 @@ LogBlock TestBlock() {
 TEST(BlockFrameTest, RoundTripRawAndCompressed) {
   LogBlock b = TestBlock();
   for (bool zip : {false, true}) {
-    std::string frame =
-        EncodeBlockFrame(b, kBlockFrameV2, /*compress=*/zip);
+    std::string frame = EncodeBlockFrame(b, /*compress=*/zip);
     LogBlock out;
-    ASSERT_TRUE(
-        DecodeBlockFrame(Slice(frame), kBlockFrameVersionMax, &out).ok());
+    ASSERT_TRUE(DecodeBlockFrame(Slice(frame), &out).ok());
     EXPECT_EQ(out.start_lsn, b.start_lsn);
     EXPECT_EQ(out.payload(), b.payload());
     EXPECT_EQ(out.payload_size, b.payload().size());
@@ -160,50 +158,64 @@ TEST(BlockFrameTest, RoundTripRawAndCompressed) {
     EXPECT_FALSE(out.filtered);
   }
   // The compressed frame is genuinely smaller for repetitive payloads.
-  std::string raw = EncodeBlockFrame(b, kBlockFrameV2, false);
-  std::string zip = EncodeBlockFrame(b, kBlockFrameV2, true);
+  std::string raw = EncodeBlockFrame(b, false);
+  std::string zip = EncodeBlockFrame(b, true);
   EXPECT_LT(zip.size(), raw.size());
-  // v1 frames never compress and decode under a v1-only receiver.
-  std::string v1 = EncodeBlockFrame(b, kBlockFrameV1, true);
-  LogBlock out;
-  ASSERT_TRUE(DecodeBlockFrame(Slice(v1), kBlockFrameV1, &out).ok());
-  EXPECT_EQ(out.payload(), b.payload());
+}
+
+// Overwrite the u16 version that follows the 4-byte magic.
+std::string WithFrameVersion(std::string frame, uint16_t version) {
+  frame[4] = static_cast<char>(version & 0xff);
+  frame[5] = static_cast<char>(version >> 8);
+  return frame;
 }
 
 TEST(BlockFrameTest, TooNewFrameAnswersNotSupported) {
-  LogBlock b = TestBlock();
-  std::string frame = EncodeBlockFrame(b, kBlockFrameV2, true);
+  // A receiver accepts only its own layout, older or newer.
+  std::string frame = EncodeBlockFrame(TestBlock(), true);
   LogBlock out;
-  Status s = DecodeBlockFrame(Slice(frame), kBlockFrameV1, &out);
-  EXPECT_TRUE(s.IsNotSupported());
+  for (uint16_t v : {uint16_t{0}, uint16_t{1}, uint16_t{3}}) {
+    EXPECT_TRUE(DecodeBlockFrame(Slice(WithFrameVersion(frame, v)), &out)
+                    .IsNotSupported());
+  }
 }
 
 TEST(BlockFrameTest, CorruptFramesRejected) {
   LogBlock b = TestBlock();
-  std::string frame = EncodeBlockFrame(b, kBlockFrameV2, true);
+  std::string frame = EncodeBlockFrame(b, true);
   LogBlock out;
   // Truncated.
-  EXPECT_TRUE(DecodeBlockFrame(Slice(frame.data(), frame.size() - 3),
-                               kBlockFrameVersionMax, &out)
+  EXPECT_TRUE(DecodeBlockFrame(Slice(frame.data(), frame.size() - 3), &out)
                   .IsCorruption());
-  EXPECT_TRUE(DecodeBlockFrame(Slice(frame.data(), 5),
-                               kBlockFrameVersionMax, &out)
-                  .IsCorruption());
+  EXPECT_TRUE(DecodeBlockFrame(Slice(frame.data(), 5), &out).IsCorruption());
   // Bad magic.
   std::string bad = frame;
   bad[0] ^= 0x5a;
-  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), kBlockFrameVersionMax, &out)
-                  .IsCorruption());
+  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), &out).IsCorruption());
+  // Undefined flag bit.
+  bad = frame;
+  bad[6] |= 0x80;
+  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), &out).IsCorruption());
   // Body bit flip breaks the checksum.
   bad = frame;
   bad[bad.size() / 2] ^= 0x01;
-  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), kBlockFrameVersionMax, &out)
-                  .IsCorruption());
+  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), &out).IsCorruption());
   // Checksum bit flip.
   bad = frame;
   bad[bad.size() - 1] ^= 0x80;
-  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), kBlockFrameVersionMax, &out)
-                  .IsCorruption());
+  EXPECT_TRUE(DecodeBlockFrame(Slice(bad), &out).IsCorruption());
+}
+
+TEST(BlockFrameTest, CorruptWireFrameCountedAndDropped) {
+  Simulator s;
+  xstore::XStore lt(s);
+  LandingZone lz(s, sim::DeviceProfile::DirectDrive(), 64 * MiB);
+  XLogProcess xlog(s, &lz, &lt, {});
+  std::string frame = EncodeBlockFrame(TestBlock(), true);
+  frame[frame.size() / 2] ^= 0x10;
+  EXPECT_TRUE(xlog.DeliverFrame(Slice(frame)).IsCorruption());
+  EXPECT_EQ(xlog.frames_corrupt(), 1u);
+  EXPECT_EQ(xlog.pending_blocks(), 0u);  // never entered the pending area
 }
 
 // ------------------------------------------- end-to-end via the client
@@ -226,58 +238,6 @@ struct XLogFixture {
     client.Start();
   }
 };
-
-TEST(FrameNegotiationTest, NewSenderDowngradesForOldReceiver) {
-  XLogOptions xopts;
-  xopts.max_frame_version = kBlockFrameV1;  // old XLOG process
-  XLogClientOptions copts;
-  copts.frame_version = kBlockFrameV2;      // new Primary
-  copts.compress_blocks = true;
-  XLogFixture f(sim::DeviceProfile::DirectDrive(), copts, xopts);
-  RunSim(f.sim, [&]() -> Task<> {
-    for (int i = 0; i < 30; i++) {
-      f.client.Append(InsertRecord(1, i, 200));
-      if (i % 10 == 9) (void)co_await f.client.Flush();
-    }
-    (void)co_await f.client.Flush();
-  });
-  // The first v2 frame bounced; the client re-encoded it at v1 and sent
-  // all later frames at v1 — nothing was lost and no repair was needed.
-  EXPECT_GE(f.xlog.frames_rejected(), 1u);
-  EXPECT_EQ(f.client.frame_downgrades(), 1u);
-  EXPECT_EQ(f.client.wire_version(), kBlockFrameV1);
-  EXPECT_GT(f.xlog.frames_delivered(), 0u);
-  EXPECT_EQ(f.xlog.available().value(), f.client.end_lsn());
-}
-
-TEST(FrameNegotiationTest, OldSenderAcceptedByNewReceiver) {
-  XLogOptions xopts;
-  xopts.max_frame_version = kBlockFrameV2;  // new XLOG process
-  XLogClientOptions copts;
-  copts.frame_version = kBlockFrameV1;      // old Primary
-  XLogFixture f(sim::DeviceProfile::DirectDrive(), copts, xopts);
-  RunSim(f.sim, [&]() -> Task<> {
-    for (int i = 0; i < 30; i++) {
-      f.client.Append(InsertRecord(1, i, 200));
-    }
-    (void)co_await f.client.Flush();
-  });
-  EXPECT_EQ(f.xlog.frames_rejected(), 0u);
-  EXPECT_EQ(f.client.frame_downgrades(), 0u);
-  EXPECT_EQ(f.xlog.available().value(), f.client.end_lsn());
-}
-
-TEST(FrameNegotiationTest, CorruptWireFrameCountedAndDropped) {
-  Simulator s;
-  xstore::XStore lt(s);
-  LandingZone lz(s, sim::DeviceProfile::DirectDrive(), 64 * MiB);
-  XLogProcess xlog(s, &lz, &lt, {});
-  std::string frame = EncodeBlockFrame(TestBlock(), kBlockFrameV2, true);
-  frame[frame.size() / 2] ^= 0x10;
-  EXPECT_TRUE(xlog.DeliverFrame(Slice(frame)).IsCorruption());
-  EXPECT_EQ(xlog.frames_corrupt(), 1u);
-  EXPECT_EQ(xlog.pending_blocks(), 0u);  // never entered the pending area
-}
 
 // ------------------------------------------------ adaptive block sizing
 

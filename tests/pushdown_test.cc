@@ -480,6 +480,23 @@ Task<> Load(engine::Engine* e, uint64_t n) {
   }
 }
 
+// Issue `n` concurrent GetPage calls (pages root..root+n-1) through the
+// Primary's RBIO client, so they can share one kGetPageBatch frame.
+Task<> ConcurrentGets(Simulator& s, service::Deployment* d, int n) {
+  std::vector<rbio::Endpoint> eps{{d->page_server(0), "ps-0"}};
+  sim::WaitGroup wg(s);
+  for (int i = 0; i < n; i++) {
+    wg.Add();
+    Spawn(s, [](rbio::RbioClient* c, std::vector<rbio::Endpoint> e,
+                PageId id, sim::WaitGroup* w) -> Task<> {
+      auto r = co_await c->GetPage(e, id, 0);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      w->Done();
+    }(&d->primary()->rbio_client(), eps, engine::kRootPageId + i, &wg));
+  }
+  co_await wg.Wait();
+}
+
 // Run the same filtered scan with pushdown and with the scanner detached;
 // both plans must agree row for row.
 Task<> ComparePlans(engine::Engine* e, uint64_t n,
@@ -587,13 +604,48 @@ TEST(PushdownEndToEndTest, V3PageServerDegradesTransparently) {
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
     co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed);
+    co_await ConcurrentGets(s, &d, 8);
   });
   // Results identical (checked in ComparePlans), nothing pushed down,
-  // and the v4 client memoized the rejection after one probe.
+  // and the client learned level 3 from the one rejected scan; batched
+  // reads still flow.
   EXPECT_FALSE(pushed);
   EXPECT_EQ(d.page_server(0)->scan_requests(), 0u);
   EXPECT_GT(d.primary()->rbio_client().scan_fallbacks(), 0u);
   EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 1u);
+  EXPECT_EQ(d.primary()->rbio_client().LearnedLevel("ps-0|"), 3);
+  EXPECT_GT(d.page_server(0)->batch_requests(), 0u);
+  d.Stop();
+}
+
+TEST(PushdownEndToEndTest, V4PageServerServesV4ScansOnly) {
+  Simulator s;
+  service::DeploymentOptions o = SmallDeployment();
+  o.page_server.rbio_max_version = 4;  // serves scans, not v5 vocabulary
+  service::Deployment d(s, o);
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await Load(d.primary_engine(), 3000);
+    // A v5-vocabulary scan is rejected and runs the local plan...
+    ScanFilter v5;
+    v5.predicate = common::ScanPredicate::KeyRange(MakeKey(1, 100),
+                                                   MakeKey(1, 2900));
+    v5.predicate.And(common::ScanPredicate::KeyModEq(16, 1));
+    bool pushed = true;
+    co_await ComparePlans(d.primary_engine(), 3000, v5, &pushed);
+    EXPECT_FALSE(pushed);
+    EXPECT_EQ(d.page_server(0)->scan_requests(), 0u);
+    EXPECT_EQ(d.primary()->rbio_client().LearnedLevel("ps-0|"), 4);
+    // ...while a v4 scan is still pushed down.
+    ScanFilter v4;
+    v4.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    co_await ComparePlans(d.primary_engine(), 3000, v4, &pushed);
+    EXPECT_TRUE(pushed);
+  });
+  EXPECT_EQ(d.primary()->rbio_client().scans_sent(),
+            1u + d.page_server(0)->scan_requests());
+  EXPECT_GT(d.page_server(0)->scan_requests(), 0u);
+  EXPECT_GT(d.page_server(0)->batch_requests(), 0u);
   d.Stop();
 }
 
@@ -662,7 +714,7 @@ TEST(PushdownEndToEndTest, V5ConjunctionAndMultiAggregatePushdown) {
 TEST(PushdownEndToEndTest, ConfigEpochChangeInvalidatesScanSupportMemo) {
   Simulator s;
   service::DeploymentOptions o = SmallDeployment();
-  o.page_server.rbio_max_version = 3;  // scans rejected and memoized
+  o.page_server.rbio_max_version = 3;  // scans rejected, level learned
   service::Deployment d(s, o);
   RunSim(s, [&]() -> Task<> {
     EXPECT_TRUE((co_await d.Start()).ok());
@@ -673,19 +725,26 @@ TEST(PushdownEndToEndTest, ConfigEpochChangeInvalidatesScanSupportMemo) {
     co_await ComparePlans(d.primary_engine(), 2000, filter, &pushed);
     EXPECT_FALSE(pushed);
     EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 1u);
-    // Memoized: the second scan never touches the wire.
+    rbio::RbioClient& client = d.primary()->rbio_client();
+    EXPECT_EQ(client.LearnedLevel("ps-0|"), 3);
+    // Learned: the second scan never touches the wire.
     co_await ComparePlans(d.primary_engine(), 2000, filter, &pushed);
-    EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 1u);
+    EXPECT_EQ(client.scans_sent(), 1u);
     // Reconfigure the partition: promote a hot-standby replica. The
     // endpoint name now resolves to a different physical server, so the
-    // config-epoch bump must drop the stale capability memo and let the
-    // client probe the replacement.
+    // config-epoch bump must reset the learned level and let the client
+    // learn the replacement's.
     EXPECT_TRUE((co_await d.AddPageServerReplica(0)).ok());
+    EXPECT_EQ(client.LearnedLevel("ps-0|"), 3);
     const uint64_t epoch_before = d.config_epoch();
     EXPECT_TRUE((co_await d.FailoverPageServer(0)).ok());
     EXPECT_GT(d.config_epoch(), epoch_before);
+    EXPECT_EQ(client.LearnedLevel("ps-0|"), rbio::kProtocolVersion);
+    // The promoted replica (also level 3) now serves the set, and its
+    // level is learned again from one rejected scan.
     co_await ComparePlans(d.primary_engine(), 2000, filter, &pushed);
-    EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 2u);
+    EXPECT_EQ(client.scans_sent(), 2u);
+    EXPECT_EQ(client.LearnedLevel("ps-0|ps-0-r0|"), 3);
   });
   d.Stop();
 }

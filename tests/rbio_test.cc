@@ -1,8 +1,10 @@
-// RBIO protocol tests (§3.4): codec round trips, version negotiation,
-// transient-failure retries, QoS replica selection, GetPageRange /
-// readahead, and the end-to-end path through a real Page Server.
+// RBIO protocol tests (§3.4): codec round trips, the level rule,
+// transient-failure retries, QoS replica selection, batching, and the
+// end-to-end path through a real Page Server.
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "rbio/rbio.h"
 #include "service/deployment.h"
@@ -29,6 +31,17 @@ void RunSim(Simulator& s, Fn&& fn) {
   ASSERT_TRUE(done);
 }
 
+// Overwrite a frame's u16 level stamp (request or response).
+std::string Restamp(std::string frame, uint16_t level) {
+  frame[0] = static_cast<char>(level & 0xff);
+  frame[1] = static_cast<char>(level >> 8);
+  return frame;
+}
+
+uint16_t StampOf(const std::string& frame) {
+  return DecodeFixed16(frame.data());
+}
+
 // ------------------------------------------------------------------ codec
 
 TEST(RbioCodecTest, GetPageRoundTrip) {
@@ -39,53 +52,57 @@ TEST(RbioCodecTest, GetPageRoundTrip) {
   uint16_t version = 0;
   ASSERT_TRUE(GetPageRequest::Decode(Slice(req.Encode()), &out, &version)
                   .ok());
-  EXPECT_EQ(version, kProtocolVersion);
+  EXPECT_EQ(version, RequiredLevel(MessageType::kGetPage));
   EXPECT_EQ(out.page_id, 42u);
   EXPECT_EQ(out.min_lsn, 123456u);
 }
 
-TEST(RbioCodecTest, GetPageRangeRoundTrip) {
-  GetPageRangeRequest req;
-  req.first_page = 100;
-  req.count = 128;
-  req.min_lsn = 777;
-  GetPageRangeRequest out;
-  uint16_t version = 0;
-  ASSERT_TRUE(
-      GetPageRangeRequest::Decode(Slice(req.Encode()), &out, &version)
-          .ok());
-  EXPECT_EQ(out.first_page, 100u);
-  EXPECT_EQ(out.count, 128u);
-  EXPECT_EQ(out.min_lsn, 777u);
-}
-
 TEST(RbioCodecTest, TypeConfusionRejected) {
   GetPageRequest get;
-  GetPageRangeRequest range;
+  GetPageBatchRequest batch;
+  batch.entries.push_back({1, 1});
   uint16_t v;
-  EXPECT_TRUE(GetPageRangeRequest::Decode(Slice(get.Encode()), &range, &v)
+  EXPECT_TRUE(GetPageBatchRequest::Decode(Slice(get.Encode()), &batch, &v)
                   .IsInvalidArgument());
-  EXPECT_TRUE(GetPageRequest::Decode(Slice(range.Encode()), &get, &v)
+  EXPECT_TRUE(GetPageRequest::Decode(Slice(batch.Encode()), &get, &v)
                   .IsInvalidArgument());
 }
 
 TEST(RbioCodecTest, VersionNegotiation) {
   GetPageRequest req;
   req.page_id = 1;
-  // An ancient version is rejected...
-  std::string old = req.Encode(/*version=*/0);
+  std::string wire = req.Encode();
   GetPageRequest out;
   uint16_t v;
-  EXPECT_TRUE(
-      GetPageRequest::Decode(Slice(old), &out, &v).IsNotSupported());
-  // ...a still-supported older version is accepted (auto-versioning).
-  std::string v1 = req.Encode(kMinSupportedVersion);
-  EXPECT_TRUE(GetPageRequest::Decode(Slice(v1), &out, &v).ok());
-  EXPECT_EQ(v, kMinSupportedVersion);
-  // ...a future version is rejected.
-  std::string future = req.Encode(kProtocolVersion + 1);
-  EXPECT_TRUE(
-      GetPageRequest::Decode(Slice(future), &out, &v).IsNotSupported());
+  // A request is stamped with the lowest level that serves it, so even
+  // the oldest server accepts a GetPage...
+  EXPECT_TRUE(GetPageRequest::Decode(Slice(wire), &out, &v,
+                                     /*server_level=*/1)
+                  .ok());
+  EXPECT_EQ(v, 1);
+  // ...a stamp above the server's level is rejected (old server rejects
+  // what it cannot serve)...
+  EXPECT_TRUE(GetPageRequest::Decode(Slice(Restamp(wire, 3)), &out, &v,
+                                     /*server_level=*/2)
+                  .IsNotSupported());
+  EXPECT_TRUE(GetPageRequest::Decode(
+                  Slice(Restamp(wire, kProtocolVersion + 1)), &out, &v)
+                  .IsNotSupported());
+  // ...and a stamp below the message's own level is malformed.
+  EXPECT_TRUE(GetPageRequest::Decode(Slice(Restamp(wire, 0)), &out, &v)
+                  .IsCorruption());
+  // A type this build does not know is malformed too, unless its stamp
+  // is above the server's level.
+  std::string unknown = wire;
+  unknown[2] = 2;
+  Slice in(unknown);
+  MessageType type;
+  EXPECT_TRUE(DecodeRequestHeader(&in, kProtocolVersion, &v, &type)
+                  .IsInvalidArgument());
+  std::string future = Restamp(unknown, kProtocolVersion + 1);
+  Slice fin(future);
+  EXPECT_TRUE(DecodeRequestHeader(&fin, kProtocolVersion, &v, &type)
+                  .IsNotSupported());
 }
 
 TEST(RbioCodecTest, ResponseRoundTripWithPages) {
@@ -136,7 +153,7 @@ TEST(RbioCodecTest, BatchRequestRoundTrip) {
   GetPageBatchRequest out;
   uint16_t v = 0;
   ASSERT_TRUE(GetPageBatchRequest::Decode(Slice(wire), &out, &v).ok());
-  EXPECT_EQ(v, kProtocolVersion);
+  EXPECT_EQ(v, RequiredLevel(MessageType::kGetPageBatch));
   ASSERT_EQ(out.entries.size(), 3u);
   EXPECT_EQ(out.entries[0].page_id, 11u);
   EXPECT_EQ(out.entries[0].min_lsn, 100u);
@@ -154,14 +171,14 @@ TEST(RbioCodecTest, BatchRequestVersionGate) {
   req.entries.push_back({1, 1});
   GetPageBatchRequest out;
   uint16_t v;
-  // A server capped below v3 (not yet upgraded) rejects batch frames.
+  // A level-2 server (not yet upgraded) rejects batch frames.
   EXPECT_TRUE(GetPageBatchRequest::Decode(Slice(req.Encode()), &out, &v,
-                                          /*max_version=*/2)
+                                          /*server_level=*/2)
                   .IsNotSupported());
-  // A batch frame mislabeled with a pre-batch version is also rejected.
-  EXPECT_TRUE(GetPageBatchRequest::Decode(
-                  Slice(req.Encode(/*version=*/2)), &out, &v)
-                  .IsNotSupported());
+  // A batch frame stamped below the batch level is malformed.
+  EXPECT_TRUE(GetPageBatchRequest::Decode(Slice(Restamp(req.Encode(), 2)),
+                                          &out, &v)
+                  .IsCorruption());
 }
 
 TEST(RbioCodecTest, BatchResponseRoundTripMixedStatuses) {
@@ -188,14 +205,14 @@ TEST(RbioCodecTest, BatchResponseRoundTripMixedStatuses) {
 }
 
 TEST(RbioCodecTest, V2NotSupportedReplyDecodesAsBatchFallbackSignal) {
-  // The negotiation fallback hinges on this: a pre-v3 server answers an
-  // unknown frame with PageResponse{NotSupported, 0 pages}, whose wire
-  // prefix is identical to an empty batch response.
+  // The batch fallback hinges on this: a level-2 server answers a batch
+  // frame with PageResponse{NotSupported, 0 pages}, whose wire prefix is
+  // identical to an empty batch response.
   PageResponse v2_reject;
   v2_reject.status = Status::NotSupported("rbio: unsupported request");
   GetPageBatchResponse out;
   ASSERT_TRUE(
-      GetPageBatchResponse::Decode(Slice(v2_reject.Encode()), &out).ok());
+      GetPageBatchResponse::Decode(Slice(v2_reject.Encode(2)), &out).ok());
   EXPECT_TRUE(out.status.IsNotSupported());
   EXPECT_TRUE(out.entries.empty());
 }
@@ -216,7 +233,7 @@ TEST(RbioCodecTest, ScanRangeRequestRoundTrip) {
   ScanRangeRequest out;
   uint16_t v = 0;
   ASSERT_TRUE(ScanRangeRequest::Decode(Slice(wire), &out, &v).ok());
-  EXPECT_EQ(v, kProtocolVersion);
+  EXPECT_EQ(v, RequiredLevel(MessageType::kScanRange));
   EXPECT_EQ(out.start_page, 17u);
   EXPECT_EQ(out.start_key, 1000u);
   EXPECT_EQ(out.end_key, 5000u);
@@ -243,14 +260,23 @@ TEST(RbioCodecTest, ScanRangeVersionGate) {
   ScanRangeRequest req;
   ScanRangeRequest out;
   uint16_t v;
-  // A server capped at v3 (not yet upgraded) rejects scan frames.
+  // A level-3 server (not yet upgraded) rejects scan frames...
   EXPECT_TRUE(ScanRangeRequest::Decode(Slice(req.Encode()), &out, &v,
-                                       /*max_version=*/3)
+                                       /*server_level=*/3)
                   .IsNotSupported());
-  // A scan frame mislabeled with a pre-v4 version is also rejected.
-  EXPECT_TRUE(ScanRangeRequest::Decode(Slice(req.Encode(/*version=*/3)),
+  // ...and a level-4 server serves a scan without v5 vocabulary.
+  EXPECT_TRUE(ScanRangeRequest::Decode(Slice(req.Encode()), &out, &v,
+                                       /*server_level=*/4)
+                  .ok());
+  // A scan frame stamped below the scan level is malformed, and so is a
+  // v5-vocabulary scan stamped 4.
+  EXPECT_TRUE(ScanRangeRequest::Decode(Slice(Restamp(req.Encode(), 3)),
                                        &out, &v)
-                  .IsNotSupported());
+                  .IsCorruption());
+  req.predicate = common::ScanPredicate::KeyRange(1, 9);
+  EXPECT_TRUE(ScanRangeRequest::Decode(Slice(Restamp(req.Encode(), 4)),
+                                       &out, &v)
+                  .IsCorruption());
 }
 
 TEST(RbioCodecTest, ScanRangeResponseTupleRoundTrip) {
@@ -300,13 +326,13 @@ TEST(RbioCodecTest, ScanRangeResponseAggRoundTrip) {
 }
 
 TEST(RbioCodecTest, V3NotSupportedReplyDecodesAsScanFallbackSignal) {
-  // Same negotiation trick as batch-vs-v2: a pre-v4 server answers a
+  // Same trick as batch-vs-level-2: a level-3 server answers a
   // kScanRange frame with PageResponse{NotSupported}, whose wire prefix
   // ScanRangeResponse::Decode reads as an error status and returns OK
-  // with that status — the client's cue to fall back and memoize.
+  // with that status — the client's cue to fall back.
   PageResponse v3_reject;
   v3_reject.status = Status::NotSupported("rbio: unsupported request");
-  auto frame = std::make_shared<const std::string>(v3_reject.Encode());
+  auto frame = std::make_shared<const std::string>(v3_reject.Encode(3));
   ScanRangeResponse out;
   ASSERT_TRUE(ScanRangeResponse::Decode(frame, &out).ok());
   EXPECT_TRUE(out.status.IsNotSupported());
@@ -322,50 +348,27 @@ TEST(RbioCodecTest, ScanRangeRequestV5RoundTrip) {
   req.aggregate = common::ScanAggregate::Count();
   req.extra_aggregates.push_back(common::ScanAggregate::Sum(0));
   req.extra_aggregates.push_back(common::ScanAggregate::Max(8));
-  EXPECT_TRUE(req.NeedsV5());
-  EXPECT_EQ(req.MinFrameVersion(), kScanExprV5MinVersion);
-  std::string wire = req.Encode(req.MinFrameVersion());
+  EXPECT_EQ(req.RequiredLevel(), 5);
+  std::string wire = req.Encode();
   ScanRangeRequest out;
   uint16_t v = 0;
   ASSERT_TRUE(ScanRangeRequest::Decode(Slice(wire), &out, &v).ok());
-  EXPECT_EQ(v, kScanExprV5MinVersion);
+  EXPECT_EQ(v, 5);
   EXPECT_EQ(out.predicate.op, common::PredOp::kKeyRange);
   ASSERT_EQ(out.predicate.conjuncts.size(), 1u);
   EXPECT_EQ(out.predicate.conjuncts[0].a, 7u);
   ASSERT_EQ(out.extra_aggregates.size(), 2u);
   EXPECT_EQ(out.extra_aggregates[0].fn, common::AggFn::kSum);
   EXPECT_EQ(out.extra_aggregates[1].fn, common::AggFn::kMax);
-  // A server capped at v4 rejects the v5 frame — negotiation signal.
+  // A level-4 server rejects the v5 scan.
   EXPECT_TRUE(ScanRangeRequest::Decode(Slice(wire), &out, &v,
-                                       /*max_version=*/4)
+                                       /*server_level=*/4)
                   .IsNotSupported());
   // Truncations rejected, never mis-read.
   for (size_t cut = 0; cut < wire.size(); cut++) {
     EXPECT_FALSE(
         ScanRangeRequest::Decode(Slice(wire.data(), cut), &out, &v).ok());
   }
-}
-
-TEST(RbioCodecTest, V4ExpressibleSpecFramesByteIdenticalV4) {
-  // A spec using no v5 vocabulary must hit the wire exactly as the v4
-  // codec framed it, whatever the client's own protocol version — the
-  // backward-compat contract for mixed fleets.
-  ScanRangeRequest req;
-  req.start_key = 10;
-  req.end_key = 500;
-  req.predicate = common::ScanPredicate::KeyModEq(16, 1);
-  req.projection.extents.push_back({0, 8});
-  EXPECT_FALSE(req.NeedsV5());
-  EXPECT_EQ(req.MinFrameVersion(), kScanRangeMinVersion);
-  EXPECT_EQ(req.Encode(req.MinFrameVersion()),
-            req.Encode(/*version=*/kScanRangeMinVersion));
-  ScanRangeRequest out;
-  uint16_t v = 0;
-  ASSERT_TRUE(ScanRangeRequest::Decode(
-                  Slice(req.Encode(req.MinFrameVersion())), &out, &v)
-                  .ok());
-  EXPECT_EQ(v, kScanRangeMinVersion);
-  EXPECT_TRUE(out.extra_aggregates.empty());
 }
 
 TEST(RbioCodecTest, ScanRangeResponseExtraAggsRoundTrip) {
@@ -395,8 +398,8 @@ TEST(RbioCodecTest, ScanRangeResponseExtraAggsRoundTrip) {
 
 TEST(RbioCodecTest, OverloadedStatusSurvivesWire) {
   // kOverloaded is the scan-admission shed signal; it must round-trip so
-  // the client planner can distinguish it from NotSupported (permanent)
-  // and Unavailable (retried by transport).
+  // the client planner can distinguish it from NotSupported (a level
+  // signal) and Unavailable (retried by transport).
   ScanRangeResponse resp;
   resp.status = Status::Overloaded("ps: scan admission shed");
   auto frame = std::make_shared<const std::string>(resp.Encode());
@@ -404,6 +407,51 @@ TEST(RbioCodecTest, OverloadedStatusSurvivesWire) {
   ASSERT_TRUE(ScanRangeResponse::Decode(frame, &out).ok());
   EXPECT_TRUE(out.status.IsOverloaded());
   EXPECT_FALSE(out.status.IsNotSupported());
+}
+
+// A forged element count must not drive an allocation: each decoder
+// checks the count against the bytes left and answers Corruption.
+
+std::string ForgeCount(std::string frame, size_t offset) {
+  const uint32_t forged = 0xFFFFFFFFu;
+  std::memcpy(&frame[offset], &forged, 4);
+  return frame;
+}
+
+TEST(RbioCodecTest, ForgedBatchRequestCountIsCorruption) {
+  // The 7-byte header of an empty batch: [level][type][count].
+  std::string wire = ForgeCount(GetPageBatchRequest{}.Encode(), 3);
+  ASSERT_EQ(wire.size(), 7u);
+  GetPageBatchRequest out;
+  uint16_t v;
+  EXPECT_TRUE(
+      GetPageBatchRequest::Decode(Slice(wire), &out, &v).IsCorruption());
+}
+
+TEST(RbioCodecTest, ForgedPageResponseCountIsCorruption) {
+  // [level][status code][u32 message length][u32 page count]
+  std::string wire = ForgeCount(PageResponse{}.Encode(), 7);
+  PageResponse out;
+  EXPECT_TRUE(PageResponse::Decode(Slice(wire), &out).IsCorruption());
+}
+
+TEST(RbioCodecTest, ForgedBatchResponseCountIsCorruption) {
+  std::string wire = ForgeCount(GetPageBatchResponse{}.Encode(), 7);
+  GetPageBatchResponse out;
+  EXPECT_TRUE(
+      GetPageBatchResponse::Decode(Slice(wire), &out).IsCorruption());
+}
+
+TEST(RbioCodecTest, ForgedScanTupleCountIsCorruption) {
+  ScanRangeResponse resp;
+  resp.status = Status::OK();
+  // The tuple count follows the status, flags and the 28-byte cursor.
+  std::string wire = ForgeCount(resp.Encode(), 2 + 5 + 1 + 28);
+  ScanRangeResponse out;
+  EXPECT_TRUE(
+      ScanRangeResponse::Decode(std::make_shared<const std::string>(wire),
+                                &out)
+          .IsCorruption());
 }
 
 // ------------------------------------------------------------ mock server
@@ -445,7 +493,7 @@ class MockServer : public RbioServer {
         out.page = MakePage(e.page_id, e.min_lsn + 1);
         bresp.entries.push_back(std::move(out));
       }
-      co_return bresp.Encode();
+      co_return bresp.Encode(max_version_);
     }
     PageResponse resp;
     if (GetPageRequest::Decode(Slice(frame), &req, &version, max_version_)
@@ -454,10 +502,10 @@ class MockServer : public RbioServer {
       resp.status = Status::OK();
       resp.pages.push_back(MakePage(req.page_id, req.min_lsn + 1));
     } else {
-      // What a real pre-v3 server does with a frame it cannot decode.
+      // What a server below a frame's level does with it.
       resp.status = Status::NotSupported("mock: unknown request");
     }
-    co_return resp.Encode();
+    co_return resp.Encode(max_version_);
   }
 
   int handled_ = 0;
@@ -629,7 +677,7 @@ TEST(RbioBatchTest, SamePageConcurrentMissesDeduped) {
 
 TEST(RbioBatchTest, LoneMissPaysNoBatchingLatency) {
   // A single miss must behave exactly like the unbatched client: same
-  // frame on the wire (a per-page v2 single), same completion time.
+  // frame on the wire (a per-page single), same completion time.
   auto run_one = [](uint32_t max_batch, SimTime* finished,
                     std::string* frame) {
     Simulator s;
@@ -660,14 +708,14 @@ TEST(RbioBatchTest, LoneMissPaysNoBatchingLatency) {
   GetPageRequest expect;
   expect.page_id = 9;
   expect.min_lsn = 10;
-  EXPECT_EQ(unbatched_frame, expect.Encode(kGetPageFrameVersion));
+  EXPECT_EQ(unbatched_frame, expect.Encode());
 }
 
 // ---------------------------------------------------------- mixed version
 
 TEST(RbioMixedVersionTest, V3ClientFallsBackOnV2Server) {
   Simulator s;
-  // A server still on protocol v2: batch frames are NotSupported.
+  // A server still at level 2: batch frames are NotSupported.
   MockServer server(s, 100, /*max_version=*/2);
   RbioClient client(s, nullptr, {});
   std::vector<Endpoint> eps{{&server, "m"}};
@@ -680,8 +728,9 @@ TEST(RbioMixedVersionTest, V3ClientFallsBackOnV2Server) {
   EXPECT_EQ(server.single_frames_, 6);
   EXPECT_EQ(client.batch_fallbacks(), 6u);
   EXPECT_EQ(client.batches_sent(), 1u);  // the one rejected probe
+  EXPECT_EQ(client.LearnedLevel("m|"), 2);
 
-  // The rejection is memoized: the next burst goes straight to singles.
+  // The level is learned: the next burst goes straight to singles.
   int ok2 = 0;
   RunSim(s, [&]() -> Task<> {
     co_await ConcurrentGets(s, client, eps, 200, 6, &ok2);
@@ -691,31 +740,11 @@ TEST(RbioMixedVersionTest, V3ClientFallsBackOnV2Server) {
   EXPECT_EQ(server.single_frames_, 12);
 }
 
-TEST(RbioMixedVersionTest, V2ClientWorksAgainstV3Server) {
-  Simulator s;
-  MockServer server(s, 100);  // fully v3-capable
-  RbioClientOptions opts;
-  opts.protocol_version = 2;  // an old client
-  RbioClient client(s, nullptr, opts);
-  std::vector<Endpoint> eps{{&server, "m"}};
-  int ok = 0;
-  RunSim(s, [&]() -> Task<> {
-    co_await ConcurrentGets(s, client, eps, 100, 6, &ok);
-  });
-  EXPECT_EQ(ok, 6);
-  // A v2 client never emits batch frames, and the v3 server still
-  // understands its v2 singles (kMinSupportedVersion <= 2).
-  EXPECT_EQ(server.batch_frames_, 0);
-  EXPECT_EQ(server.single_frames_, 6);
-  EXPECT_EQ(client.batches_sent(), 0u);
-  EXPECT_EQ(client.singles_sent(), 6u);
-}
-
 TEST(RbioMixedVersionTest, V4ScanFallsBackOnV3ServerAndMemoizes) {
   Simulator s;
-  // A server still on protocol v3: kScanRange frames are NotSupported
-  // (the MockServer answers undecodable frames exactly like a real
-  // pre-v4 server: PageResponse{NotSupported}).
+  // A server still at level 3: kScanRange frames are NotSupported (the
+  // MockServer answers undecodable frames exactly like a real level-3
+  // server: PageResponse{NotSupported}).
   MockServer server(s, 100, /*max_version=*/3);
   RbioClient client(s, nullptr, {});
   std::vector<Endpoint> eps{{&server, "m"}};
@@ -732,7 +761,7 @@ TEST(RbioMixedVersionTest, V4ScanFallsBackOnV3ServerAndMemoizes) {
   EXPECT_EQ(client.scans_sent(), 1u);
   EXPECT_EQ(client.scan_fallbacks(), 1u);
 
-  // The rejection is memoized: the next scan for the same endpoint set
+  // The level is learned: the next scan for the same endpoint set
   // short-circuits client-side, no wire traffic at all.
   RunSim(s, [&]() -> Task<> {
     auto r = co_await client.ScanRange(eps, req);
@@ -742,55 +771,30 @@ TEST(RbioMixedVersionTest, V4ScanFallsBackOnV3ServerAndMemoizes) {
   EXPECT_EQ(server.handled_, 1);  // unchanged
   EXPECT_EQ(client.scans_sent(), 1u);
   EXPECT_EQ(client.scan_fallbacks(), 2u);
+  EXPECT_EQ(client.LearnedLevel("m|"), 3);
 }
 
-TEST(RbioMixedVersionTest, V3ClientNeverEmitsScanFrames) {
+TEST(RbioMixedVersionTest, ResponseStampsLowerTheLevelAndResetRestoresIt) {
   Simulator s;
-  MockServer server(s, 100);  // fully v4-capable
-  RbioClientOptions opts;
-  opts.protocol_version = 3;  // an old client
-  RbioClient client(s, nullptr, opts);
+  MockServer server(s, 100, /*max_version=*/3);
+  RbioClient client(s, nullptr, {});
   std::vector<Endpoint> eps{{&server, "m"}};
+  EXPECT_EQ(client.LearnedLevel("m|"), kProtocolVersion);
   RunSim(s, [&]() -> Task<> {
-    auto r = co_await client.ScanRange(eps, ScanRangeRequest{});
-    EXPECT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsNotSupported());
-    // ...and its GetPage traffic is untouched by the v4 upgrade.
+    // A plain GetPage is served, and its response stamp alone teaches
+    // the client that this set is at level 3...
     auto p = co_await client.GetPage(eps, 5, 0);
     EXPECT_TRUE(p.ok());
+    // ...so a scan never reaches the wire.
+    auto r = co_await client.ScanRange(eps, ScanRangeRequest{});
+    EXPECT_TRUE(r.status().IsNotSupported());
   });
-  // The scan short-circuited client-side: zero scan frames on the wire.
+  EXPECT_EQ(client.LearnedLevel("m|"), 3);
   EXPECT_EQ(client.scans_sent(), 0u);
-  EXPECT_EQ(client.scan_fallbacks(), 1u);
   EXPECT_EQ(server.single_frames_, 1);
-}
-
-TEST(RbioMixedVersionTest, V4ClientPagePathBytesUnchanged) {
-  // The v3-fallback acceptance bar: a v4 client's page-based wire frames
-  // must be byte-identical to a pre-v4 client's. Single GetPage frames
-  // are pinned at kGetPageFrameVersion and responses at
-  // kPageResponseVersion, so the upgrade is invisible on the page path.
-  GetPageRequest req;
-  req.page_id = 31;
-  req.min_lsn = 64;
-  // The client stamps min(protocol_version, kGetPageFrameVersion) on
-  // every single-page frame; that pin must resolve below v4.
-  std::string wire_req = req.Encode(
-      std::min<uint16_t>(kProtocolVersion, kGetPageFrameVersion));
-  EXPECT_EQ(wire_req, req.Encode(kGetPageFrameVersion));
-  uint16_t req_version =
-      static_cast<uint16_t>(static_cast<unsigned char>(wire_req[0])) |
-      static_cast<uint16_t>(static_cast<unsigned char>(wire_req[1])) << 8;
-  EXPECT_EQ(req_version, kGetPageFrameVersion);
-  static_assert(kGetPageFrameVersion < kScanRangeMinVersion);
-  static_assert(kPageResponseVersion < kScanRangeMinVersion);
-  PageResponse resp;
-  resp.status = Status::OK();
-  std::string wire = resp.Encode();
-  uint16_t wire_version =
-      static_cast<uint16_t>(static_cast<unsigned char>(wire[0])) |
-      static_cast<uint16_t>(static_cast<unsigned char>(wire[1])) << 8;
-  EXPECT_EQ(wire_version, kPageResponseVersion);
+  // A config-epoch change forgets the level; it is learned again.
+  client.ResetLevels();
+  EXPECT_EQ(client.LearnedLevel("m|"), kProtocolVersion);
 }
 
 // --------------------------------------------- end-to-end via Page Server
@@ -828,13 +832,20 @@ TEST(RbioEndToEndTest, PageServerServesTypedRequests) {
     // Typed GetPage.
     auto page = co_await client.GetPage(eps, engine::kRootPageId, 0);
     EXPECT_TRUE(page.ok());
-    // Typed GetPageRange: a scan-style multi-page read.
-    auto range = co_await client.GetPageRange(eps, 1, 16, 0);
-    EXPECT_TRUE(range.ok());
-    EXPECT_GT(range->size(), 4u);
-    for (auto& p : *range) {
-      EXPECT_TRUE(p.VerifyChecksum().ok());
+    // A frame of a type the server does not know is malformed, not a
+    // level signal.
+    GetPageRequest get;
+    std::string unknown = get.Encode();
+    unknown[2] = 2;
+    auto raw = co_await d.page_server(0)->HandleRbio(unknown);
+    EXPECT_TRUE(raw.ok());
+    Status st;
+    if (raw.ok()) {
+      EXPECT_TRUE(DecodeResponseStatusPrefix(Slice(*raw), &st).ok());
+      EXPECT_EQ(StampOf(*raw), kProtocolVersion);
     }
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_EQ(client.LearnedLevel("ps0|"), kProtocolVersion);
   });
   d.Stop();
 }
@@ -875,9 +886,65 @@ TEST(RbioEndToEndTest, V3ClientDegradesAgainstV2PageServer) {
     std::vector<Endpoint> eps{{d.page_server(0), "ps0"}};
     co_await ConcurrentGets(s, client, eps, engine::kRootPageId, 8, &ok);
   });
-  EXPECT_EQ(ok, 8);  // served correctly despite the version mismatch
+  EXPECT_EQ(ok, 8);  // served correctly despite the level mismatch
   EXPECT_EQ(d.page_server(0)->batch_requests(), 0u);
   EXPECT_EQ(client.batch_fallbacks(), 8u);
+  EXPECT_EQ(client.LearnedLevel("ps0|"), 2);
+  d.Stop();
+}
+
+// Forwards frames to a real Page Server, truncating batch frames on the
+// way (a damaged frame, not an old server).
+class TruncatingProxy : public RbioServer {
+ public:
+  Task<Result<std::string>> HandleRbio(const std::string& frame) override {
+    if (truncate_batches_ &&
+        PeekMessageType(frame) == MessageType::kGetPageBatch) {
+      std::string cut = frame.substr(0, frame.size() - 5);
+      co_return co_await target_->HandleRbio(cut);
+    }
+    co_return co_await target_->HandleRbio(frame);
+  }
+  RbioServer* target_ = nullptr;
+  bool truncate_batches_ = true;
+};
+
+TEST(RbioEndToEndTest, MalformedBatchGetsCorruptionNotALevelDrop) {
+  Simulator s;
+  service::Deployment d(s, SmallDeployment());
+  RbioClient client(s, nullptr, RbioClientOptions{});
+  TruncatingProxy proxy;
+  int bad = 0, ok = 0;
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await Load(d.primary_engine(), 2000);
+    co_await d.page_server(0)->applied_lsn().WaitFor(
+        d.log_client().end_lsn());
+    // Sent straight to the server, a truncated batch frame is answered
+    // with the decoder's own Corruption.
+    GetPageBatchRequest batch;
+    batch.entries.push_back({engine::kRootPageId, 0});
+    std::string frame = batch.Encode();
+    auto raw = co_await d.page_server(0)->HandleRbio(
+        frame.substr(0, frame.size() - 3));
+    Status st;
+    if (raw.ok()) (void)DecodeResponseStatusPrefix(Slice(*raw), &st);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    // Through the client: the damaged batch fails its sub-requests but
+    // does not lower the learned level...
+    proxy.target_ = d.page_server(0);
+    std::vector<Endpoint> eps{{&proxy, "ps0"}};
+    co_await ConcurrentGets(s, client, eps, engine::kRootPageId, 8, &bad);
+    EXPECT_EQ(client.LearnedLevel("ps0|"), kProtocolVersion);
+    // ...so once frames arrive intact, batches still flow.
+    proxy.truncate_batches_ = false;
+    co_await ConcurrentGets(s, client, eps, engine::kRootPageId, 8, &ok);
+  });
+  EXPECT_EQ(bad, 0);
+  EXPECT_EQ(ok, 8);
+  EXPECT_EQ(client.batch_fallbacks(), 0u);
+  EXPECT_EQ(client.batches_sent(), 2u);
+  EXPECT_EQ(d.page_server(0)->batch_requests(), 1u);
   d.Stop();
 }
 
@@ -908,46 +975,6 @@ TEST(RbioEndToEndTest, ComputeSurvivesTransientPageServerFailures) {
   });
   EXPECT_GT(d.primary()->rbio_client().retries(), 0u);
   d.Stop();
-}
-
-TEST(RbioEndToEndTest, ReadaheadCutsRoundTrips) {
-  auto fetches_with_readahead = [](uint32_t readahead) {
-    Simulator s;
-    service::DeploymentOptions o = SmallDeployment();
-    o.compute.mem_pages = 8;
-    o.compute.ssd_pages = 0;  // no RBPEX: rely on remote fetches
-    o.compute.readahead_pages = readahead;
-    // Isolate the GetPageRange effect: B+-tree scan readahead would cut
-    // the readahead=0 baseline's round trips on its own.
-    o.compute.scan_readahead = 0;
-    service::Deployment d(s, o);
-    uint64_t requests = 0;
-    bool done = false;
-    Spawn(s, Wrap([](service::Deployment* dp, uint64_t* reqs) -> Task<> {
-            EXPECT_TRUE((co_await dp->Start()).ok());
-            co_await Load(dp->primary_engine(), 3000);
-            engine::Engine* e = dp->primary_engine();
-            // Scan the whole table with a cold cache.
-            auto txn = e->Begin(true);
-            auto rows =
-                co_await e->Scan(txn.get(), engine::MakeKey(1, 0), 3000);
-            EXPECT_TRUE(rows.ok());
-            if (rows.ok()) {
-              EXPECT_EQ(rows->size(), 3000u);
-            }
-            (void)co_await e->Commit(txn.get());
-            *reqs = dp->primary()->rbio_client().requests_sent();
-          }(&d, &requests),
-          &done));
-    while (!done && s.Step()) {
-    }
-    d.Stop();
-    return requests;
-  };
-  uint64_t without = fetches_with_readahead(0);
-  uint64_t with = fetches_with_readahead(8);
-  // One GetPageRange replaces several GetPage round trips.
-  EXPECT_LT(with, without / 2);
 }
 
 }  // namespace
