@@ -86,6 +86,7 @@ sim::Task<> Scanner(sim::Simulator* sim, engine::Engine* e,
   engine::ScanFilter filter;
   filter.predicate = common::ScanPredicate::KeyModEq(10, 0);
   filter.aggregate = common::ScanAggregate::Sum(0);
+  filter.force_pushdown = true;  // scans always try the wire
   while (!*stop) {
     auto txn = e->Begin(true);
     auto r = co_await e->ScanWhere(txn.get(), engine::MakeKey(1, 0),
@@ -115,8 +116,6 @@ fleet::FleetOptions IsolationFleet(int tenants, bool qos) {
   o.tenant.compute.ssd_pages = 96;
   o.tenant.compute.warmup_after_recovery = false;
   o.tenant.compute.rbpex_recoverable = false;
-  o.tenant.compute.pushdown_max_selectivity = 1.0;
-  o.tenant.compute.pushdown_cost_planning = false;
   o.tenant.compute.rbio_wire_mb_per_s = 2000;
   // No readahead: every victim miss is a single kGetPage frame — the
   // depth/latency signals the admission gate watches, undiluted.

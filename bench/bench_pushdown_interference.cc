@@ -98,6 +98,7 @@ sim::Task<> Scanner(sim::Simulator* sim, engine::Engine* e,
   engine::ScanFilter filter;
   filter.predicate = common::ScanPredicate::KeyModEq(10, 0);
   filter.aggregate = common::ScanAggregate::Sum(0);
+  filter.force_pushdown = true;  // scans always try the wire
   while (!*stop) {
     auto txn = e->Begin(true);
     auto r = co_await e->ScanWhere(txn.get(), engine::MakeKey(1, 0),
@@ -119,8 +120,6 @@ InterferenceResult Measure(const Params& p, const Config& c) {
   o.compute.ssd_pages = 96;  // reads keep missing to the server
   o.compute.warmup_after_recovery = false;
   o.compute.rbpex_recoverable = false;
-  o.compute.pushdown_max_selectivity = 1.0;
-  o.compute.pushdown_cost_planning = false;  // scans always try the wire
   o.compute.rbio_wire_mb_per_s = 2000;
   // A shed scan keeps the client on the local plan long enough for the
   // serving window to actually recover before the next wire attempt.

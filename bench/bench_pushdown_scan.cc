@@ -5,13 +5,13 @@
 // tier, swept across predicate selectivity (100% .. 0.1%) and execution
 // mode:
 //
-//   pages   pushdown disabled — the page plan: fetch every leaf via
+//   pages   scanner detached — the page plan: fetch every leaf via
 //           GetPage@LSN and evaluate locally;
-//   tuples  kScanRange ships predicate + projection; Page Servers stream
-//           back qualifying projected tuples;
-//   agg     kScanRange additionally carries a partial-aggregate spec
-//           (SUM over the first payload field); one tiny frame returns
-//           per chunk regardless of row count.
+//   tuples  forced kScanRange ships predicate + projection; Page Servers
+//           stream back qualifying projected tuples;
+//   agg     forced kScanRange additionally carries a partial-aggregate
+//           spec (SUM over the first payload field); one tiny frame
+//           returns per chunk regardless of row count.
 //   planned cost-based planner decides per range: residency-probe the
 //           local tiers, push only when the modeled remote cost wins
 //           (warm ranges stay local, cold ranges ship).
@@ -77,6 +77,11 @@ sim::Task<> LoadRows(engine::Engine* e, uint64_t n) {
 engine::ScanFilter MakeFilter(const Config& c) {
   engine::ScanFilter f;
   f.predicate = common::ScanPredicate::KeyModEq(c.mod, 0);
+  // The sweep axis is the predicate, not the planner: tuples and agg
+  // ship at every selectivity so the crossover is visible in the data.
+  // Only the "planned" mode hands the choice to the cost-based planner.
+  f.force_pushdown = std::strcmp(c.mode, "tuples") == 0 ||
+                     std::strcmp(c.mode, "agg") == 0;
   if (std::strcmp(c.mode, "agg") == 0) {
     f.aggregate = common::ScanAggregate::Sum(0);
   } else {
@@ -91,6 +96,7 @@ sim::Task<> TimedScan(sim::Simulator* sim, engine::Engine* e,
                       const Params* p, const Config* c, Histogram* lat,
                       uint64_t* matched) {
   engine::ScanFilter filter = MakeFilter(*c);
+  if (std::strcmp(c->mode, "pages") == 0) e->SetRemoteScanner(nullptr);
   auto txn = e->Begin(true);
   for (uint64_t k = 0; k < p->rows; k += p->stride) {
     uint64_t hi = std::min(p->rows, k + p->stride);
@@ -116,12 +122,6 @@ PushdownResult Measure(const Params& p, const Config& c) {
   o.compute.ssd_pages = 8192;  // RBPEX can hold the whole database
   o.compute.warmup_after_recovery = false;
   o.compute.rbpex_recoverable = std::strcmp(c.state, "cold") != 0;
-  o.compute.pushdown_enabled = std::strcmp(c.mode, "pages") != 0;
-  // The sweep axis is the predicate, not the planner knob: let every
-  // selectivity push down so the crossover is visible in the data. Only
-  // the "planned" mode hands the choice to the cost-based planner.
-  o.compute.pushdown_max_selectivity = 1.0;
-  o.compute.pushdown_cost_planning = std::strcmp(c.mode, "planned") == 0;
   // Finite wire so bytes moved show up as time (2 GB/s intra-DC link).
   o.compute.rbio_wire_mb_per_s = 2000;
   o.page_server.mem_pages = 1024;

@@ -46,9 +46,9 @@ double TermSelectivity(PredOp op, uint64_t a, uint64_t b) {
     case PredOp::kPayloadByteLt:
       return std::min(1.0, static_cast<double>(b & 0xff) / 256.0);
     case PredOp::kKeyRange:
-      // Without knowing the scanned range a key-range term is
-      // uninformative; stay conservative (the range-aware overload
-      // computes the real overlap fraction).
+      // Without a bounded scan range a key-range term is uninformative;
+      // stay conservative (TermSelectivityInRange computes the real
+      // overlap fraction).
       return 1.0;
   }
   return 1.0;
@@ -91,14 +91,6 @@ bool EvalPredicate(const ScanPredicate& pred, uint64_t key, Slice payload) {
     if (!EvalTerm(t.op, t.a, t.b, key, payload)) return false;
   }
   return true;
-}
-
-double EstimatedSelectivity(const ScanPredicate& pred) {
-  double sel = TermSelectivity(pred.op, pred.a, pred.b);
-  for (const ScanPredicate::Term& t : pred.conjuncts) {
-    sel *= TermSelectivity(t.op, t.a, t.b);
-  }
-  return sel;
 }
 
 double EstimatedSelectivity(const ScanPredicate& pred, uint64_t start_key,

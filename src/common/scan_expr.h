@@ -83,10 +83,6 @@ struct ScanPredicate {
     return *this;
   }
 
-  bool IsAll() const {
-    return op == PredOp::kAll && conjuncts.empty();
-  }
-
   /// True iff this predicate uses v5 vocabulary (key-range op or any
   /// conjunct).
   bool NeedsV5() const {
@@ -100,19 +96,15 @@ struct ScanPredicate {
 /// evaluation agree on every row.
 bool EvalPredicate(const ScanPredicate& pred, uint64_t key, Slice payload);
 
-/// Planner-side selectivity estimate in [0, 1]. kKeyModEq is exact
-/// (1/a); the payload-byte ops use fixed priors — the planner only needs
-/// a coarse "is this scan sparse enough to ship tuples" signal.
-/// Conjunct terms multiply under an independence assumption.
-double EstimatedSelectivity(const ScanPredicate& pred);
-
-/// Range-aware overload: the selectivity of `pred` over keys in
+/// Planner-side selectivity estimate in [0, 1] of `pred` over keys in
 /// [start_key, end_key) (end_key == 0 → unbounded above). Key-dependent
 /// terms are computed exactly against the range: kKeyModEq counts its
 /// actual hits in the window (a range narrower than the modulus holds at
 /// most one hit, so a tiny scan is *dense*, not 1/a-sparse), and
-/// kKeyRange is the overlap fraction. Falls back to the priors above
-/// for payload terms and for an unbounded range.
+/// kKeyRange is the overlap fraction. Payload terms, and every term of
+/// an unbounded range, use fixed priors (kKeyModEq 1/a) — the planner
+/// only needs a coarse signal. Conjunct terms multiply under an
+/// independence assumption.
 double EstimatedSelectivity(const ScanPredicate& pred, uint64_t start_key,
                             uint64_t end_key);
 

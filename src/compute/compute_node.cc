@@ -83,17 +83,10 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
  public:
   explicit PushdownScanner(ComputeNode* node) : node_(node) {}
 
-  bool Enabled() const override {
-    return node_->opts_.pushdown_enabled && node_->alive_;
-  }
-
-  double MaxSelectivity() const override {
-    return node_->opts_.pushdown_max_selectivity;
-  }
+  bool Enabled() const override { return node_->alive_; }
 
   engine::PushdownCostModel CostModel() const override {
-    engine::PushdownCostModel m = node_->opts_.pushdown_cost_model;
-    m.enabled = node_->opts_.pushdown_cost_planning;
+    engine::PushdownCostModel m;
     m.leaves_per_frame =
         static_cast<double>(node_->opts_.pushdown_max_pages);
     return m;
@@ -172,12 +165,9 @@ ComputeNode::ComputeNode(sim::Simulator& sim, Role role,
       pull_rng_(0x9e0) {
   rbio::RbioClientOptions rbio_opts;
   rbio_opts.network = options.rpc_latency;
-  rbio_opts.cpu_per_request_us = options.rpc_cpu_us;
-  rbio_opts.max_batch = options.rbio_max_batch;
   rbio_opts.injector = options.chaos_injector;
   rbio_opts.site = options.chaos_site;
   rbio_opts.wire_mb_per_s = options.rbio_wire_mb_per_s;
-  rbio_opts.cpu_per_result_kb_us = options.rbio_cpu_per_result_kb_us;
   rbio_opts.overload_backoff_us = options.rbio_overload_backoff_us;
   rbio_ = std::make_unique<rbio::RbioClient>(
       sim, cpu_.get(), rbio_opts, 0xb10c + options.cpu_cores);
@@ -280,7 +270,7 @@ sim::Task<> ComputeNode::SecondaryApplyLoop() {
       co_await sim::Delay(sim_, 10000);
       continue;
     }
-    if (opts_.pipelined_pulls && !blocks->empty()) {
+    if (!blocks->empty()) {
       next = std::make_shared<PendingPull>(sim_, blocks->back().end_lsn());
       sim::Spawn(sim_, PullTask(next));
     }
@@ -351,7 +341,7 @@ sim::Task<Status> ComputeNode::RecoverPrimary(Lsn replay_from,
   //    back into memory in the background so the node reaches warm-cache
   //    throughput without waiting for demand misses.
   if (opts_.warmup_after_recovery) {
-    pool_->StartWarmup(opts_.warmup_pages);
+    pool_->StartWarmup();
   }
   co_return Status::OK();
 }
@@ -377,7 +367,7 @@ sim::Task<Status> ComputeNode::Promote(engine::LogSink* sink,
   // was serving a different read set; promote the RBPEX MRU prefix so
   // failover reaches warm-cache throughput quickly (§5 + §3.3).
   if (opts_.warmup_after_recovery) {
-    pool_->StartWarmup(opts_.warmup_pages);
+    pool_->StartWarmup();
   }
   co_return Status::OK();
 }

@@ -133,18 +133,11 @@ struct ComputeOptions {
   /// One-way latency added per XLOG pull round (log shipping distance).
   /// Intra-DC by default; geo-replicas (§6) set a cross-region profile.
   sim::LatencyModel pull_latency = sim::LatencyModel::Zero();
-  SimTime rpc_cpu_us = 8;
   uint64_t pull_bytes = 1 * MiB;
   /// Redo apply lanes for the Secondary / recovery apply path (page
   /// records sharded by PageId across concurrent coroutines; see
   /// engine::RedoApplier::ConfigureLanes). 1 = serial apply.
   int apply_lanes = 4;
-  /// Issue the next XLOG pull while the current batch applies.
-  bool pipelined_pulls = true;
-  /// RBIO GetPage batching: concurrent misses bound for the same Page
-  /// Server are multiplexed into one kGetPageBatch frame of up to this
-  /// many sub-requests (1 = per-page frames).
-  uint32_t rbio_max_batch = 16;
   /// B+-tree sequential-scan readahead: max prefetch window in leaves
   /// (ramps 2 → this on confirmed sequential access, collapses on a
   /// break; 0 disables and reproduces the serial scan exactly). Safe on
@@ -155,33 +148,16 @@ struct ComputeOptions {
   /// MRU prefix into memory in the background (§3.3: failover resumes at
   /// warm-cache speed without waiting for demand misses).
   bool warmup_after_recovery = true;
-  /// Cap on warmup promotions (0 = memory capacity).
-  size_t warmup_pages = 0;
-  /// Computation pushdown (RBIO kScanRange) master switch. Even when
-  /// on, only ScanWhere plans that clear the planner's eligibility bar
-  /// (selectivity / aggregate, see Engine::ScanWhere) ship; plain Scan
-  /// and Get are never affected.
-  bool pushdown_enabled = true;
-  /// Tuple-mode pushdown only when the predicate's estimated selectivity
-  /// is at or below this; denser results move fewer bytes as raw pages.
-  double pushdown_max_selectivity = 0.25;
-  /// Residency- and load-aware cost planning for ScanWhere: the engine
-  /// probes the scanned range's leaf residency and picks local vs
-  /// pushdown vs hybrid from modeled cost with per-range EWMA feedback.
-  /// Off = the legacy selectivity-only gate above.
-  bool pushdown_cost_planning = true;
-  /// Pricing knobs for the cost planner (enabled/leaves_per_frame are
-  /// overridden from this node's state; the rest are taken as-is).
-  engine::PushdownCostModel pushdown_cost_model;
   /// Leaves evaluated per kScanRange chunk (bounds Page Server work and
-  /// response size per round trip).
+  /// response size per round trip). Computation pushdown itself has no
+  /// switch here: Engine::ScanWhere's cost planner decides per scan, a
+  /// caller can force the wire with ScanFilter::force_pushdown, and
+  /// Engine::SetRemoteScanner(nullptr) gives a page-only plan.
   uint32_t pushdown_max_pages = 64;
   /// Simulated RBIO wire bandwidth in MB/s for transfer-time accounting
   /// on request/response legs (0 = infinite — the historical timing,
   /// bit-identical traces).
   double rbio_wire_mb_per_s = 0;
-  /// Client CPU per KB of pushdown result tuples materialized.
-  double rbio_cpu_per_result_kb_us = 2.0;
   /// How long a kOverloaded reply keeps this client off an endpoint's
   /// scan path (temporary, unlike the learned RBIO level).
   SimTime rbio_overload_backoff_us = 50 * 1000;

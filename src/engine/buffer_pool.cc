@@ -356,13 +356,12 @@ sim::Task<> BufferPool::PrefetchOne(PageId page_id,
   barrier->Set();
 }
 
-void BufferPool::StartWarmup(size_t max_pages) {
+void BufferPool::StartWarmup() {
   if (ssd_ == nullptr || ssd_meta_.empty()) {
     warmup_done_ = true;
     return;
   }
-  if (max_pages == 0) max_pages = opts_.mem_pages;
-  max_pages = std::min(max_pages, opts_.mem_pages);
+  const size_t max_pages = opts_.mem_pages;
   // Snapshot the MRU prefix now; the order reflects pre-crash heat.
   std::vector<PageId> ids;
   ids.reserve(std::min(max_pages, ssd_lru_.size()));

@@ -181,10 +181,10 @@ class BufferPool {
   void Prefetch(const std::vector<PageId>& pages);
 
   /// Background warm-cache promotion (§3.3): walk the SSD tier's MRU
-  /// prefix and promote up to `max_pages` (0 = mem capacity) into memory
-  /// via the prefetch machinery, in small windows so demand traffic is
-  /// not starved. Stops early if memory fills with demand-loaded pages.
-  void StartWarmup(size_t max_pages = 0);
+  /// prefix and promote up to the memory capacity into memory via the
+  /// prefetch machinery, in small windows so demand traffic is not
+  /// starved. Stops early if memory fills with demand-loaded pages.
+  void StartWarmup();
   bool warmup_done() const { return warmup_done_; }
   uint64_t warmup_promoted() const { return warmup_promoted_; }
 

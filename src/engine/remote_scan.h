@@ -1,9 +1,10 @@
 // RemoteScanner: the engine-side seam for computation pushdown (RBIO v4
 // kScanRange). The scan planner in Engine::ScanWhere decides *whether* to
-// push a filtered scan down; this interface hides *how* — the compute
-// tier implements it over its RBIO client and Page Server routing table
-// (compute::PushdownScanner), while the engine stays free of any rbio
-// dependency and unit tests can plug in fakes.
+// push a filtered scan down — from one residency-aware cost model, unless
+// the caller sets ScanFilter::force_pushdown — and this interface hides
+// *how*: the compute tier implements it over its RBIO client and Page
+// Server routing table (compute::PushdownScanner), while the engine stays
+// free of any rbio dependency and unit tests can plug in fakes.
 //
 // Contract: ScanLeaves evaluates the spec over leaves starting at
 // `start_leaf` (which the caller located by descending its cached
@@ -36,18 +37,18 @@ struct ScanFilter {
   /// (ignored unless `aggregate` is enabled). Requires a v5-capable
   /// server end to end; older servers trigger the usual fallback.
   common::ScanAggregateList extra_aggregates;
+  /// Ship from `start` whatever the cost model says (benches and tests
+  /// that measure the wire path). Eligibility still applies: an
+  /// aggregate over an uncommitted write set in range stays local, and
+  /// every remote failure still finishes the range locally.
+  bool force_pushdown = false;
 };
 
 /// Cost-model constants for the residency-aware scan planner, all in
-/// virtual µs per leaf / per round trip. `enabled == false` (the
-/// default, and what test fakes inherit) keeps the legacy
-/// selectivity-only pushdown gate; the compute tier's scanner turns the
-/// model on and prices it from its device profiles. The planner
-/// multiplies these by per-range EWMA correction factors learned from
-/// observed scan outcomes, so the constants only need to be in the
-/// right ballpark.
+/// virtual µs per leaf / per round trip. The planner multiplies these by
+/// per-range EWMA correction factors learned from observed scan
+/// outcomes, so the constants only need to be in the right ballpark.
 struct PushdownCostModel {
-  bool enabled = false;
   /// Local evaluation of one leaf, by residency tier.
   double mem_leaf_us = 8;
   double ssd_leaf_us = 95;
@@ -118,16 +119,11 @@ class RemoteScanner {
  public:
   virtual ~RemoteScanner() = default;
 
-  /// False disables pushdown wholesale (planner knob / bench baseline).
+  /// False while the evaluator cannot serve (e.g. its node is down);
+  /// ScanWhere then runs the local page-based plan.
   virtual bool Enabled() const = 0;
 
-  /// Ship tuples only when the predicate's estimated selectivity is at
-  /// or below this; denser scans move fewer bytes as raw pages.
-  virtual double MaxSelectivity() const = 0;
-
-  /// Cost model for the residency-aware planner. The default (disabled)
-  /// keeps the legacy selectivity-only gate, so existing fakes and any
-  /// scanner that predates the model are unaffected.
+  /// Prices for the residency-aware planner.
   virtual PushdownCostModel CostModel() const { return PushdownCostModel{}; }
 
   /// Evaluate `spec` remotely starting at `start_leaf`. Transport errors

@@ -222,6 +222,8 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
   const bool agg = filter.aggregate.enabled();
   out.aggregated = agg;
   if (agg) out.extra_aggs.resize(filter.extra_aggregates.size());
+  last_scan_plan_ = ScanPlanDebug{};
+  if (end_key <= start) co_return std::move(out);
   const Timestamp read_ts = txn->read_ts();
 
   bool writes_in_range = false;
@@ -246,36 +248,30 @@ sim::Task<Result<FilteredScanResult>> Engine::ScanWhere(
   // ----- Plan. Policy first: aggregates cannot push down over an
   // uncommitted write set (the server cannot see it); tuple mode can —
   // the overlay below repairs the stream exactly like the unfiltered
-  // Scan.
+  // Scan. A forced scan ships from `start` unpriced; every other
+  // eligible scan is priced by the cost model.
   const bool remote_allowed = scanner_ != nullptr && scanner_->Enabled() &&
                               (!agg || !writes_in_range);
+  const bool cost_planned = remote_allowed && !filter.force_pushdown;
   const PushdownCostModel cm =
       scanner_ != nullptr ? scanner_->CostModel() : PushdownCostModel{};
-  // Range-aware selectivity: a window narrower than a kKeyModEq modulus
-  // is dense relative to itself, never 1/a-sparse.
-  const double sel =
-      common::EstimatedSelectivity(filter.predicate, start, end_key);
 
   ScanPlanDebug plan;
-  bool use_remote = false;     // the plan includes a remote portion
+  bool use_remote = remote_allowed && filter.force_pushdown;
   uint64_t push_from = start;  // keys >= push_from go remote
-  const bool cost_planned = remote_allowed && cm.enabled &&
-                            end_key != UINT64_MAX && end_key > start;
+  if (use_remote) plan.kind = ScanPlanDebug::Kind::kPushdown;
   // Residency-weighted model constants, kept for the EWMA update below.
   double model_local_leaf_us = 0;
   double model_remote_leaf_us = 0;
 
-  if (remote_allowed && !cost_planned) {
-    // Legacy gate (cost model off, or an unbounded range the residency
-    // probe cannot size): always push aggregates (one frame back), push
-    // tuple scans only below the selectivity knee.
-    plan.kind = ScanPlanDebug::Kind::kLegacy;
-    use_remote = agg || (!filter.predicate.IsAll() &&
-                         sel <= scanner_->MaxSelectivity());
-  } else if (cost_planned) {
+  if (cost_planned) {
     // Residency- and load-aware plan: sample the range's leaves against
     // the pool tiers, price local vs pushdown vs hybrid from the model
     // (corrected by per-range EWMA feedback), take the cheapest.
+    // Range-aware selectivity: a window narrower than a kKeyModEq
+    // modulus is dense relative to itself, never 1/a-sparse.
+    const double sel =
+        common::EstimatedSelectivity(filter.predicate, start, end_key);
     const ResidencyProbe probe = co_await ProbeResidency(start, end_key);
     const ScanCostEwma& e = EwmaFor(start, end_key);
     const double width = static_cast<double>(end_key - start);

@@ -92,10 +92,10 @@ struct EngineStats {
 };
 
 /// How the residency-aware planner decided the last ScanWhere (debug /
-/// test visibility; meaningful when the scanner's cost model is on).
+/// test visibility). A forced scan reports kPushdown with no estimates.
 struct ScanPlanDebug {
-  enum class Kind : uint8_t { kLegacy = 0, kLocal, kPushdown, kHybrid };
-  Kind kind = Kind::kLegacy;
+  enum class Kind : uint8_t { kLocal = 0, kPushdown, kHybrid };
+  Kind kind = Kind::kLocal;
   /// Sampled fraction of the range's leaves resident locally (mem+ssd).
   double resident_frac = 0;
   double mem_frac = 0;
@@ -156,11 +156,12 @@ class Engine {
   /// Filtered snapshot scan over [start, end_key): rows matching
   /// filter.predicate, projected (tuple mode) or partially aggregated
   /// (aggregate mode); `limit` caps returned tuples (0 = unbounded).
-  /// The planner pushes evaluation down to Page Servers via the attached
-  /// RemoteScanner when the filter is selective enough (or aggregating),
-  /// with transparent mid-scan fallback to the local page-based path —
-  /// both paths evaluate the same scan_expr code, so results are
-  /// identical either way.
+  /// The cost planner pushes evaluation down to Page Servers via the
+  /// attached RemoteScanner when its modeled cost wins (or always, with
+  /// filter.force_pushdown), with transparent mid-scan fallback to the
+  /// local page-based path — both paths evaluate the same scan_expr
+  /// code, so results are identical either way. An empty range returns
+  /// at once.
   sim::Task<Result<FilteredScanResult>> ScanWhere(Transaction* txn,
                                                   uint64_t start,
                                                   uint64_t end_key,

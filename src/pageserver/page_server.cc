@@ -310,7 +310,7 @@ sim::Task<> PageServer::ApplyLoop(uint64_t epoch) {
       continue;
     }
     pulls_++;
-    if (opts_.pipelined_pulls && !blocks->empty() &&
+    if (!blocks->empty() &&
         blocks->back().end_lsn() < opts_.apply_until) {
       // Overlap the next pull with applying this batch.
       next = std::make_shared<PendingPull>(sim_, blocks->back().end_lsn());

@@ -90,10 +90,6 @@ struct PageServerOptions {
   /// many concurrent apply coroutines (same page -> same lane), so apply
   /// throughput scales with cpu_cores. 1 = the serial applier.
   int apply_lanes = 4;
-  /// Double-buffer the consumer side: issue the next XLogProcess::Pull
-  /// while the current batch is still being applied, overlapping
-  /// network/LZ latency with apply compute.
-  bool pipelined_pulls = true;
   /// Stop applying log at this LSN (point-in-time restore); kMaxLsn =
   /// follow the live tail forever.
   Lsn apply_until = kMaxLsn;

@@ -530,24 +530,22 @@ TEST(ScanExprV5Test, V4PredicatesDoNotNeedV5) {
 }
 
 TEST(ScanExprV5Test, RangeAwareModSelectivityClamps) {
-  // Full-range prior: 1/1000.
   auto p = common::ScanPredicate::KeyModEq(1000, 5);
-  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p), 0.001);
-  // A 10-key window holds exactly one hit (key 5): density 1/10, three
-  // orders denser than the prior — the satellite fix.
+  // A 10-key window holds exactly one hit (key 5): density 1/10, two
+  // orders denser than the 1/1000 prior.
   EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 0, 10), 0.1);
   // The same window placed past the hit holds none.
   EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 6, 16), 0.0);
   // A wide window converges back to the prior.
   EXPECT_NEAR(common::EstimatedSelectivity(p, 0, 100000), 0.001, 1e-5);
-  // Unbounded range falls back to the prior.
+  // Unbounded range falls back to the 1/a prior.
   EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 0, 0), 0.001);
 }
 
 TEST(ScanExprV5Test, RangeAwareKeyRangeSelectivityIsOverlap) {
   auto p = common::ScanPredicate::KeyRange(50, 150);
   // Without range context the key-range term is uninformative.
-  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p), 1.0);
+  EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 0, 0), 1.0);
   EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 0, 100), 0.5);
   EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 100, 200), 0.5);
   EXPECT_DOUBLE_EQ(common::EstimatedSelectivity(p, 200, 300), 0.0);

@@ -189,9 +189,6 @@ TEST(FleetTest, QosShedsAbusiveTenantNotVictim) {
   // Tiny compute caches: point reads keep missing to the gateway.
   o.tenant.compute.mem_pages = 8;
   o.tenant.compute.ssd_pages = 16;
-  // Make pushdown always try the wire so scans reach the gateway.
-  o.tenant.compute.pushdown_max_selectivity = 1.0;
-  o.tenant.compute.pushdown_cost_planning = false;
   // A starved scan quota: the first scans fit the burst, sustained
   // scanning overdrafts it past the wait bound and sheds.
   o.gateway.tenant_tokens_per_s = 1000;
@@ -211,6 +208,8 @@ TEST(FleetTest, QosShedsAbusiveTenantNotVictim) {
     engine::ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(10, 0);
     filter.aggregate = common::ScanAggregate::Sum(0);
+    // Always try the wire so scans reach the gateway.
+    filter.force_pushdown = true;
     for (int round = 0; round < 24; round++) {
       auto txn = abuser->Begin(true);
       auto r = co_await abuser->ScanWhere(txn.get(), MakeKey(1, 0),
@@ -242,8 +241,6 @@ TEST(FleetTest, OverloadBackoffIsScopedPerTenant) {
   // latency window (the admission health signal needs >= 16 samples).
   o.tenant.compute.mem_pages = 8;
   o.tenant.compute.ssd_pages = 16;
-  o.tenant.compute.pushdown_max_selectivity = 1.0;
-  o.tenant.compute.pushdown_cost_planning = false;
   // No readahead/prefetch: every miss is a single kGetPage frame, which
   // is what feeds the server's point-read latency ring (the admission
   // health signal ignores batch prefetch traffic).
@@ -276,6 +273,7 @@ TEST(FleetTest, OverloadBackoffIsScopedPerTenant) {
     engine::ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(10, 0);
     filter.aggregate = common::ScanAggregate::Sum(0);
+    filter.force_pushdown = true;
     // Tenant 0 scans twice: the first is forwarded and shed by the
     // server (earning the (t0, host) backoff), the second short-circuits
     // at the gateway.

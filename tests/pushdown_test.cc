@@ -52,8 +52,6 @@ std::string RowPayload(uint64_t key) {
 // scan_expr functions; knobs inject chunking, fence misses, and errors.
 class FakeScanner : public RemoteScanner {
  public:
-  bool enabled = true;
-  double max_sel = 0.25;
   uint64_t chunk_span = UINT64_MAX;  // keys evaluated per call
   int fence_misses_to_inject = 0;
   int error_after_chunks = -1;  // serve this many chunks, then error
@@ -61,8 +59,7 @@ class FakeScanner : public RemoteScanner {
   int chunks_served = 0;
   std::map<uint64_t, std::string> data;
 
-  bool Enabled() const override { return enabled; }
-  double MaxSelectivity() const override { return max_sel; }
+  bool Enabled() const override { return true; }
 
   Task<Result<RemoteScanChunk>> ScanLeaves(
       PageId, const RemoteScanSpec& spec) override {
@@ -264,11 +261,16 @@ TEST(ScanWhereLocalTest, WriteSetOverlay) {
 
 // ------------------------------------------------- planner w/ FakeScanner
 
+// The fixture is fully memory-resident, so the cost planner alone keeps
+// every scan local; these tests force the wire path per scan to exercise
+// eligibility, chunked resume and the fallback ladder.
+
 TEST(ScanWherePlannerTest, SelectivePredicatePushesDown) {
   EngineFixture f;
   f.engine->SetRemoteScanner(&f.fake);
   ScanFilter filter;
   filter.predicate = common::ScanPredicate::KeyModEq(16, 1);  // ~6%
+  filter.force_pushdown = true;
   RunSim(f.sim, [&]() -> Task<> {
     auto txn = f.engine->Begin(true);
     auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
@@ -284,38 +286,12 @@ TEST(ScanWherePlannerTest, SelectivePredicatePushesDown) {
   EXPECT_EQ(f.engine->stats().pushdown_scans, 1u);
 }
 
-TEST(ScanWherePlannerTest, DensePredicateStaysLocal) {
-  EngineFixture f;
-  f.engine->SetRemoteScanner(&f.fake);
-  RunSim(f.sim, [&]() -> Task<> {
-    auto txn = f.engine->Begin(true);
-    // Unfiltered tuple scans and dense predicates (sel > MaxSelectivity)
-    // move fewer bytes as raw pages: the planner must not push them.
-    ScanFilter all;
-    auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, all);
-    EXPECT_TRUE(r.ok());
-    if (r.ok()) {
-      EXPECT_FALSE(r->pushed_down);
-      EXPECT_EQ(r->rows.size(), 400u);
-    }
-    ScanFilter dense;
-    dense.predicate = common::ScanPredicate::KeyModEq(2, 0);  // 50%
-    auto r2 = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, dense);
-    EXPECT_TRUE(r2.ok());
-    if (r2.ok()) {
-      EXPECT_FALSE(r2->pushed_down);
-      EXPECT_EQ(r2->rows, Expected(f.fake.data, 0, 400, dense));
-    }
-    (void)co_await f.engine->Commit(txn.get());
-  });
-  EXPECT_EQ(f.fake.calls, 0);
-}
-
 TEST(ScanWherePlannerTest, AggregatePushesDownEvenUnfiltered) {
   EngineFixture f;
   f.engine->SetRemoteScanner(&f.fake);
   ScanFilter filter;
   filter.aggregate = common::ScanAggregate::Sum(0);
+  filter.force_pushdown = true;
   RunSim(f.sim, [&]() -> Task<> {
     auto txn = f.engine->Begin(true);
     auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
@@ -337,6 +313,7 @@ TEST(ScanWherePlannerTest, AggregateWithWritesInRangeStaysLocal) {
   f.engine->SetRemoteScanner(&f.fake);
   ScanFilter filter;
   filter.aggregate = common::ScanAggregate::Count();
+  filter.force_pushdown = true;
   RunSim(f.sim, [&]() -> Task<> {
     auto txn = f.engine->Begin();
     // The server cannot see this uncommitted row; the aggregate must run
@@ -359,6 +336,7 @@ TEST(ScanWherePlannerTest, ChunkedResumeCoversWholeRange) {
   f.fake.chunk_span = 64;  // force many chunks
   ScanFilter filter;
   filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+  filter.force_pushdown = true;
   RunSim(f.sim, [&]() -> Task<> {
     auto txn = f.engine->Begin(true);
     auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
@@ -378,6 +356,7 @@ TEST(ScanWherePlannerTest, FenceMissRetriesThenSucceeds) {
   f.fake.fence_misses_to_inject = 2;  // below the retry budget
   ScanFilter filter;
   filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+  filter.force_pushdown = true;
   RunSim(f.sim, [&]() -> Task<> {
     auto txn = f.engine->Begin(true);
     auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
@@ -398,6 +377,7 @@ TEST(ScanWherePlannerTest, PersistentFenceMissFallsBackToLocal) {
   f.fake.fence_misses_to_inject = 1000;  // a split storm that never ends
   ScanFilter filter;
   filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+  filter.force_pushdown = true;
   RunSim(f.sim, [&]() -> Task<> {
     auto txn = f.engine->Begin(true);
     auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
@@ -419,6 +399,7 @@ TEST(ScanWherePlannerTest, MidScanErrorFallsBackForTheTail) {
   f.fake.error_after_chunks = 2;  // two good chunks, then the link dies
   ScanFilter filter;
   filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+  filter.force_pushdown = true;
   RunSim(f.sim, [&]() -> Task<> {
     auto txn = f.engine->Begin(true);
     auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
@@ -440,6 +421,7 @@ TEST(ScanWherePlannerTest, AggregateFallbackTailAccumulatesLocally) {
   f.fake.error_after_chunks = 1;  // one remote chunk, rest local
   ScanFilter filter;
   filter.aggregate = common::ScanAggregate::Sum(0);
+  filter.force_pushdown = true;
   RunSim(f.sim, [&]() -> Task<> {
     auto txn = f.engine->Begin(true);
     auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
@@ -462,11 +444,10 @@ service::DeploymentOptions SmallDeployment() {
   o.num_page_servers = 1;
   o.compute.mem_pages = 64;  // most leaves are remote
   o.compute.ssd_pages = 128;
-  // These tests exercise the kScanRange wire path end to end; pin the
-  // legacy selectivity-only gate so the residency-aware planner cannot
-  // (correctly!) keep the small warm fixture local. The cost planner has
-  // its own tests (ScanWhereCostPlannerTest, residency suites).
-  o.compute.pushdown_cost_planning = false;
+  // These tests exercise the kScanRange wire path end to end, so their
+  // scans set force_pushdown: the residency-aware planner would
+  // (correctly!) keep parts of the small warm fixture local. The cost
+  // planner has its own tests (ScanCostPlannerTest).
   return o;
 }
 
@@ -532,6 +513,7 @@ TEST(PushdownEndToEndTest, TupleScanMatchesLocalPlan) {
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
     filter.projection.extents.push_back({0, 8});
+    filter.force_pushdown = true;
     co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed);
   });
   EXPECT_TRUE(pushed);
@@ -551,6 +533,7 @@ TEST(PushdownEndToEndTest, AggregateScanMatchesLocalPlan) {
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(10, 5);
     filter.aggregate = common::ScanAggregate::Sum(0);
+    filter.force_pushdown = true;
     co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed);
   });
   EXPECT_TRUE(pushed);
@@ -569,6 +552,7 @@ TEST(PushdownEndToEndTest, UncommittedWritesOverlayPushedResults) {
     engine::Engine* e = d.primary_engine();
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    filter.force_pushdown = true;
     auto txn = e->Begin();
     // The Page Server cannot see these; the overlay must repair the
     // pushed-down stream.
@@ -603,6 +587,7 @@ TEST(PushdownEndToEndTest, V3PageServerDegradesTransparently) {
     co_await Load(d.primary_engine(), 3000);
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    filter.force_pushdown = true;
     co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed);
     co_await ConcurrentGets(s, &d, 8);
   });
@@ -631,6 +616,7 @@ TEST(PushdownEndToEndTest, V4PageServerServesV4ScansOnly) {
     v5.predicate = common::ScanPredicate::KeyRange(MakeKey(1, 100),
                                                    MakeKey(1, 2900));
     v5.predicate.And(common::ScanPredicate::KeyModEq(16, 1));
+    v5.force_pushdown = true;
     bool pushed = true;
     co_await ComparePlans(d.primary_engine(), 3000, v5, &pushed);
     EXPECT_FALSE(pushed);
@@ -639,6 +625,7 @@ TEST(PushdownEndToEndTest, V4PageServerServesV4ScansOnly) {
     // ...while a v4 scan is still pushed down.
     ScanFilter v4;
     v4.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    v4.force_pushdown = true;
     co_await ComparePlans(d.primary_engine(), 3000, v4, &pushed);
     EXPECT_TRUE(pushed);
   });
@@ -666,6 +653,7 @@ TEST(PushdownEndToEndTest, V5ConjunctionAndMultiAggregatePushdown) {
     filter.aggregate = common::ScanAggregate::Count();
     filter.extra_aggregates.push_back(common::ScanAggregate::Sum(0));
     filter.extra_aggregates.push_back(common::ScanAggregate::Max(0));
+    filter.force_pushdown = true;
     auto txn = e->Begin(true);
     auto r = co_await e->ScanWhere(txn.get(), MakeKey(1, 0),
                                    MakeKey(1, 3000), 0, filter);
@@ -721,6 +709,7 @@ TEST(PushdownEndToEndTest, ConfigEpochChangeInvalidatesScanSupportMemo) {
     co_await Load(d.primary_engine(), 2000);
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    filter.force_pushdown = true;
     bool pushed = true;
     co_await ComparePlans(d.primary_engine(), 2000, filter, &pushed);
     EXPECT_FALSE(pushed);
@@ -758,6 +747,7 @@ TEST(PushdownEndToEndTest, TransientFailuresFallBackWithoutWrongResults) {
     engine::Engine* e = d.primary_engine();
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    filter.force_pushdown = true;
     uint64_t want = 0;
     for (uint64_t k = 1; k < 3000; k += 16) want++;
     uint64_t degraded = 0;
@@ -798,6 +788,7 @@ TEST(PushdownEndToEndTest, SecondaryScansAtAppliedWatermark) {
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
     filter.aggregate = common::ScanAggregate::Count();
+    filter.force_pushdown = true;
     auto txn = e->Begin(true);
     auto r = co_await e->ScanWhere(txn.get(), MakeKey(1, 0),
                                    MakeKey(1, 2000), 0, filter);
@@ -816,13 +807,11 @@ TEST(PushdownEndToEndTest, SecondaryScansAtAppliedWatermark) {
 
 // ------------------------------------- residency-aware cost planner
 
-// FakeScanner with a test-controlled cost model (the base class keeps
-// the model disabled so the legacy-gate suites above stay legacy).
+// FakeScanner with a test-controlled cost model.
 class CostFakeScanner : public FakeScanner {
  public:
   PushdownCostModel cm;
 
-  CostFakeScanner() { cm.enabled = true; }
   PushdownCostModel CostModel() const override { return cm; }
 
   Task<Result<RemoteScanChunk>> ScanLeaves(
@@ -850,7 +839,7 @@ service::DeploymentOptions PlannerDeployment() {
   o.compute.ssd_pages = 8192;
   o.compute.warmup_after_recovery = false;
   o.compute.rbpex_recoverable = false;  // restart = fully cold tiers
-  return o;  // pushdown_cost_planning stays at its default (on)
+  return o;
 }
 
 // Run one cost-planned scan, snapshot the plan the engine chose, then
@@ -969,21 +958,175 @@ TEST(ScanCostPlannerTest, MixedResidencyPicksHybrid) {
   d.Stop();
 }
 
-TEST(ScanCostPlannerTest, LegacyGateWhenModelDisabled) {
-  EngineFixture f;
-  f.engine->SetRemoteScanner(&f.fake);  // base fake: cost model off
-  ScanFilter filter;
-  filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
-  RunSim(f.sim, [&]() -> Task<> {
-    auto txn = f.engine->Begin(true);
-    auto r = co_await f.engine->ScanWhere(txn.get(), 0, 400, 0, filter);
+TEST(ScanCostPlannerTest, ForcePushdownShipsWarmDenseRange) {
+  Simulator s;
+  service::Deployment d(s, PlannerDeployment());
+  FilteredScanResult planned, forced;
+  ScanPlanDebug planned_plan, forced_plan;
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await Load(d.primary_engine(), 3000);  // warm: loads through the pool
+    ScanFilter dense;
+    dense.predicate = common::ScanPredicate::KeyModEq(2, 0);  // 50%
+    co_await PlannedScanAndCompare(d.primary_engine(), 3000, dense,
+                                   &planned, &planned_plan);
+    EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 0u);
+    dense.force_pushdown = true;
+    co_await PlannedScanAndCompare(d.primary_engine(), 3000, dense,
+                                   &forced, &forced_plan);
+  });
+  // The cost planner alone keeps the warm range local; the per-call
+  // override ships the same scan, unpriced, with identical rows.
+  EXPECT_EQ(planned_plan.kind, ScanPlanDebug::Kind::kLocal);
+  EXPECT_FALSE(planned.pushed_down);
+  EXPECT_EQ(forced_plan.kind, ScanPlanDebug::Kind::kPushdown);
+  EXPECT_DOUBLE_EQ(forced_plan.est_push_us, 0.0);
+  EXPECT_TRUE(forced.pushed_down);
+  EXPECT_EQ(forced.rows, planned.rows);
+  EXPECT_GT(d.primary()->rbio_client().scans_sent(), 0u);
+  EXPECT_GT(d.page_server(0)->scan_requests(), 0u);
+  d.Stop();
+}
+
+TEST(ScanCostPlannerTest, ForcedAggregateOverWritesStaysLocalAndExact) {
+  Simulator s;
+  service::Deployment d(s, SmallDeployment());
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await Load(d.primary_engine(), 3000);
+    engine::Engine* e = d.primary_engine();
+    ScanFilter filter;
+    filter.aggregate = common::ScanAggregate::Count();
+    filter.extra_aggregates.push_back(common::ScanAggregate::Sum(0));
+    filter.force_pushdown = true;
+    auto txn = e->Begin();
+    // Uncommitted: one delete, one overwrite, one new row. The server
+    // cannot see any of them, so even a forced aggregate must not ship.
+    EXPECT_TRUE(e->Delete(txn.get(), MakeKey(1, 10)).ok());
+    EXPECT_TRUE(e->Put(txn.get(), MakeKey(1, 20), RowPayload(1000)).ok());
+    EXPECT_TRUE(e->Put(txn.get(), MakeKey(1, 3000), RowPayload(3000)).ok());
+    auto r = co_await e->ScanWhere(txn.get(), MakeKey(1, 0),
+                                   MakeKey(1, 4000), 0, filter);
     EXPECT_TRUE(r.ok());
     if (r.ok()) {
-      EXPECT_TRUE(r->pushed_down);
+      EXPECT_FALSE(r->pushed_down);
+      uint64_t sum = 0;
+      for (uint64_t k = 0; k < 3000; k++) sum += 3 * k;
+      sum = sum - 3 * 10 - 3 * 20 + 3 * 1000 + 3 * 3000;
+      EXPECT_EQ(r->agg.rows, 3000u);
+      EXPECT_EQ(r->extra_aggs.size(), 1u);
+      if (r->extra_aggs.size() == 1) {
+        EXPECT_EQ(r->extra_aggs[0].value, sum);
+      }
+    }
+    EXPECT_EQ(e->last_scan_plan().kind, ScanPlanDebug::Kind::kLocal);
+    e->Abort(txn.get());
+  });
+  EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 0u);
+  EXPECT_EQ(d.page_server(0)->scan_requests(), 0u);
+  d.Stop();
+}
+
+TEST(ScanCostPlannerTest, EmptyRangeNeverCallsScanner) {
+  // One commit's worth of rows: a shallow load that sanitizer builds'
+  // default stack can resume.
+  EngineFixture f(/*rows=*/64);
+  f.engine->SetRemoteScanner(&f.fake);
+  RunSim(f.sim, [&]() -> Task<> {
+    auto txn = f.engine->Begin(true);
+    for (bool force : {false, true}) {
+      ScanFilter tuples;
+      tuples.force_pushdown = force;
+      ScanFilter count;
+      count.aggregate = common::ScanAggregate::Count();
+      count.force_pushdown = force;
+      // Empty [10, 10) and inverted [20, 10) ranges inside the data.
+      for (uint64_t start : {10, 20}) {
+        auto r =
+            co_await f.engine->ScanWhere(txn.get(), start, 10, 0, tuples);
+        EXPECT_TRUE(r.ok());
+        if (r.ok()) {
+          EXPECT_TRUE(r->rows.empty());
+        }
+        auto a =
+            co_await f.engine->ScanWhere(txn.get(), start, 10, 0, count);
+        EXPECT_TRUE(a.ok());
+        if (a.ok()) {
+          EXPECT_TRUE(a->aggregated);
+          EXPECT_EQ(a->agg.rows, 0u);
+          EXPECT_FALSE(a->pushed_down);
+        }
+      }
     }
     (void)co_await f.engine->Commit(txn.get());
   });
-  EXPECT_EQ(f.engine->last_scan_plan().kind, ScanPlanDebug::Kind::kLegacy);
+  EXPECT_EQ(f.fake.calls, 0);
+  EXPECT_EQ(f.engine->stats().pushdown_scans, 0u);
+}
+
+TEST(ScanCostPlannerTest, UnboundedRangeCountIsExact) {
+  Simulator s;
+  service::Deployment d(s, SmallDeployment());
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await Load(d.primary_engine(), 3000);
+    engine::Engine* e = d.primary_engine();
+    ScanFilter count;
+    count.aggregate = common::ScanAggregate::Count();
+    ScanFilter sparse = count;
+    sparse.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    uint64_t sparse_want = 0;
+    for (uint64_t k = 1; k < 3000; k += 16) sparse_want++;
+    // The cost planner prices an open-ended range like any other, and a
+    // forced scan ships it; every plan must count exactly.
+    for (bool force : {false, true}) {
+      count.force_pushdown = force;
+      sparse.force_pushdown = force;
+      auto txn = e->Begin(true);
+      auto r = co_await e->ScanWhere(txn.get(), MakeKey(1, 0), UINT64_MAX,
+                                     0, count);
+      EXPECT_TRUE(r.ok());
+      if (r.ok()) {
+        EXPECT_EQ(r->agg.rows, 3000u);
+      }
+      auto r2 = co_await e->ScanWhere(txn.get(), MakeKey(1, 0), UINT64_MAX,
+                                      0, sparse);
+      EXPECT_TRUE(r2.ok());
+      if (r2.ok()) {
+        EXPECT_EQ(r2->agg.rows, sparse_want);
+      }
+      (void)co_await e->Commit(txn.get());
+    }
+  });
+  EXPECT_GT(d.primary()->rbio_client().scans_sent(), 0u);
+  d.Stop();
+}
+
+TEST(ScanCostPlannerTest, DeadNodeNeverCallsScanLeaves) {
+  Simulator s;
+  service::Deployment d(s, SmallDeployment());
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await Load(d.primary_engine(), 3000);
+    d.primary()->Crash();
+    engine::Engine* e = d.primary_engine();
+    ScanFilter filter;
+    filter.aggregate = common::ScanAggregate::Count();
+    filter.force_pushdown = true;
+    auto txn = e->Begin(true);
+    auto r = co_await e->ScanWhere(txn.get(), MakeKey(1, 0),
+                                   MakeKey(1, 3000), 0, filter);
+    // Whatever the local path returns on a dead node, it never ships.
+    if (r.ok()) {
+      EXPECT_FALSE(r->pushed_down);
+      EXPECT_EQ(r->agg.rows, 3000u);
+    }
+    EXPECT_EQ(e->last_scan_plan().kind, ScanPlanDebug::Kind::kLocal);
+    e->Abort(txn.get());
+  });
+  EXPECT_EQ(d.primary()->rbio_client().scans_sent(), 0u);
+  EXPECT_EQ(d.page_server(0)->scan_requests(), 0u);
+  d.Stop();
 }
 
 TEST(ScanCostPlannerTest, EwmaFeedbackConvergesToObservedCost) {
@@ -1063,8 +1206,7 @@ service::DeploymentOptions AdmissionDeployment() {
   o.num_page_servers = 1;
   o.compute.mem_pages = 96;  // compute misses reach the server
   o.compute.ssd_pages = 128;
-  o.compute.pushdown_cost_planning = false;  // force the wire path
-  o.compute.warmup_after_recovery = false;   // restart = fully cold tiers
+  o.compute.warmup_after_recovery = false;  // restart = fully cold tiers
   o.compute.rbpex_recoverable = false;
   o.page_server.mem_pages = 48;  // server misses reach the SSD tier
   o.page_server.scan_admission_p99_us = 2;
@@ -1094,6 +1236,7 @@ TEST(ScanAdmissionTest, HealthyServerAdmitsImmediately) {
     co_await Load(d.primary_engine(), 3000);
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    filter.force_pushdown = true;
     co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed);
   });
   EXPECT_TRUE(pushed);
@@ -1117,6 +1260,7 @@ TEST(ScanAdmissionTest, DegradedServerQueuesScansBehindTokenBucket) {
     EXPECT_GT(d.page_server(0)->recent_getpage_p99_us(), 2u);
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    filter.force_pushdown = true;
     co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed);
   });
   // The scan was admitted — after paying the token bucket, not shed.
@@ -1142,6 +1286,7 @@ TEST(ScanAdmissionTest, OverloadShedsScanAndClientFallsBackEqual) {
     co_await ColdPointReads(d.primary_engine(), 32, 3000);
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+    filter.force_pushdown = true;
     // Cross-plan equality under kOverloaded: the shed scan falls back
     // to the local page path and must lose no rows.
     co_await ComparePlans(d.primary_engine(), 3000, filter, &pushed);
@@ -1186,6 +1331,7 @@ TEST(ScanAdmissionTest, PointReadP99DefendedWhileScansShed) {
       co_await ColdPointReads(e, 32, 3000);
       ScanFilter filter;
       filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
+      filter.force_pushdown = true;
       for (int round = 0; round < 4; round++) {
         auto txn = e->Begin(true);
         auto r = co_await e->ScanWhere(txn.get(), MakeKey(1, 0),
