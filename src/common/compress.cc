@@ -1,5 +1,7 @@
 #include "common/compress.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -19,6 +21,16 @@ inline uint32_t Hash4(const char* p) {
   memcpy(&v, p, 4);
   return (v * 2654435761u) >> 19;  // 13-bit table
 }
+
+// The match table, reused across calls (one per thread) instead of
+// allocating and zeroing 32 KiB per block. A call stores `gen + pos + 1`
+// and treats any value <= `gen` as empty, then advances `gen` past every
+// value it stored, so each call starts from a logically empty table —
+// the output is exactly that of a fresh zeroed table.
+struct MatchTable {
+  std::vector<uint32_t> slots = std::vector<uint32_t>(1 << 13, 0);
+  uint32_t gen = 0;
+};
 
 void PutRunLen(std::string* out, size_t len) {
   while (len >= 255) {
@@ -53,16 +65,22 @@ size_t Compress(Slice input, std::string* out) {
     EmitSequence(out, base, n, 0, 0);
     return out->size() - out_start;
   }
-  std::vector<uint32_t> table(1 << 13, 0);  // position+1; 0 = empty
+  static thread_local MatchTable match_table;
+  if (n > UINT32_MAX - match_table.gen) {
+    std::fill(match_table.slots.begin(), match_table.slots.end(), 0);
+    match_table.gen = 0;
+  }
+  const uint32_t gen = match_table.gen;
+  uint32_t* table = match_table.slots.data();
   size_t pos = 0;
   size_t lit_start = 0;
   size_t match_limit = n - kTailLiterals;
   while (pos + kMinMatch <= match_limit) {
     uint32_t h = Hash4(base + pos);
-    size_t cand = table[h];
-    table[h] = static_cast<uint32_t>(pos + 1);
-    if (cand != 0) {
-      size_t c = cand - 1;
+    uint32_t cand = table[h];
+    table[h] = gen + static_cast<uint32_t>(pos + 1);
+    if (cand > gen) {
+      size_t c = cand - gen - 1;
       if (pos - c <= kMaxOffset &&
           memcmp(base + c, base + pos, kMinMatch) == 0) {
         size_t len = kMinMatch;
@@ -73,7 +91,7 @@ size_t Compress(Slice input, std::string* out) {
         // Seed the table inside the match so runs keep finding themselves.
         size_t end = pos + len;
         for (size_t p = pos + 1; p + kMinMatch <= end && p + 4 <= n; p += 8) {
-          table[Hash4(base + p)] = static_cast<uint32_t>(p + 1);
+          table[Hash4(base + p)] = gen + static_cast<uint32_t>(p + 1);
         }
         pos = end;
         lit_start = end;
@@ -82,6 +100,7 @@ size_t Compress(Slice input, std::string* out) {
     }
     pos++;
   }
+  match_table.gen = gen + static_cast<uint32_t>(n);
   EmitSequence(out, base + lit_start, n - lit_start, 0, 0);
   return out->size() - out_start;
 }

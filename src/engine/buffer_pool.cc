@@ -14,11 +14,6 @@ struct PageRef::Frame {
   // Capture generation of the most recent MarkDirty (checkpoint
   // lost-update guard; see BufferPool::DirtyGen).
   uint64_t dirty_gen = 0;
-  // True while the in-frame checksum matches the payload. Starts false
-  // (installed images may be legitimately mutated after the client-side
-  // verify, e.g. the Secondary's pending-fetch drain) and is set only by
-  // EnsureChecksum; any MarkDirty clears it.
-  bool checksum_valid = false;
   // Cold (probationary) LRU segment membership; prefetched frames start
   // cold and are promoted to the hot segment on their second demand
   // touch. `prefetched` is cleared by the first demand touch — a frame
@@ -63,17 +58,6 @@ void PageRef::MarkDirty() {
   frame_->dirty = true;
   frame_->dirty_gen = ++pool_->dirty_gen_counter_;
   pool_->dirty_index_.insert(frame_->page_id);
-  frame_->checksum_valid = false;
-}
-
-void PageRef::EnsureChecksum() {
-  if (frame_->checksum_valid) {
-    pool_->stats_.checksum_skips++;
-    return;
-  }
-  frame_->page.UpdateChecksum();
-  frame_->checksum_valid = true;
-  pool_->stats_.checksum_recomputes++;
 }
 
 BufferPool::BufferPool(sim::Simulator& sim,
@@ -168,24 +152,21 @@ sim::Task<Result<PageRef>> BufferPool::GetPageInternal(PageId page_id,
     auto meta = ssd_meta_.find(page_id);
     if (meta != ssd_meta_.end()) {
       // RBPEX hit: read the image from local SSD and promote to memory.
-      // Pin the slot so concurrent SSD-tier eviction cannot recycle it
-      // for another page mid-read.
+      // The promoted Page shares the device's frame (no copy); the first
+      // in-memory mutation detaches it. Pin the slot so concurrent
+      // SSD-tier eviction cannot recycle it for another page mid-read.
       auto event = AcquireEvent();
       InflightInsert(page_id, event);
       meta->second.readers++;
       uint64_t slot = meta->second.slot;
-      std::string image;
-      Status s = co_await ssd_->Read(slot * kPageSize, kPageSize, &image);
+      Result<storage::Page> read = co_await ssd_->ReadPage(slot * kPageSize);
       auto meta2 = ssd_meta_.find(page_id);
       if (meta2 != ssd_meta_.end()) meta2->second.readers--;
       InflightErase(page_id);
       event->Set();
       ReleaseEvent(std::move(event));
-      if (!s.ok()) co_return Result<PageRef>(s);
-      storage::Page page = storage::Page::Uninitialized();
-      if (Status ps = page.FromSlice(Slice(image)); !ps.ok()) {
-        co_return Result<PageRef>(ps);
-      }
+      if (!read.ok()) co_return Result<PageRef>(read.status());
+      storage::Page page = std::move(read).value();
       if (Status cs = page.VerifyChecksum(); !cs.ok()) {
         co_return Result<PageRef>(cs);
       }
@@ -313,8 +294,7 @@ sim::Task<> BufferPool::PrefetchOne(PageId page_id,
     // SSD promotion, installed cold without a pin.
     meta->second.readers++;
     uint64_t slot = meta->second.slot;
-    std::string image;
-    Status s = co_await ssd->Read(slot * kPageSize, kPageSize, &image);
+    Result<storage::Page> read = co_await ssd->ReadPage(slot * kPageSize);
     if (!life->alive) {
       barrier->Set();
       co_return;
@@ -323,15 +303,13 @@ sim::Task<> BufferPool::PrefetchOne(PageId page_id,
     if (m2 != ssd_meta_.end() && m2->second.slot == slot) {
       m2->second.readers--;
     }
-    if (life->epoch == epoch && s.ok()) {
-      storage::Page page = storage::Page::Uninitialized();
-      if (page.FromSlice(Slice(image)).ok() &&
-          page.VerifyChecksum().ok() && page.page_id() == page_id &&
+    if (life->epoch == epoch && read.ok()) {
+      if (read->VerifyChecksum().ok() && read->page_id() == page_id &&
           frames_.count(page_id) == 0) {
         bool dirty = m2 != ssd_meta_.end() ? m2->second.dirty : false;
         uint64_t gen = m2 != ssd_meta_.end() ? m2->second.dirty_gen : 0;
         TouchSsd(page_id);
-        InstallCold(std::move(page), dirty, gen);
+        InstallCold(std::move(read).value(), dirty, gen);
       }
     }
   } else if (fetcher_ != nullptr) {
@@ -537,20 +515,14 @@ sim::Task<Result<size_t>> BufferPool::Recover(Lsn durable_end_lsn) {
   std::vector<PageId> drop;
   size_t recovered = 0;
   for (auto& [id, meta] : ssd_meta_) {
-    std::string image;
-    Status s =
-        co_await ssd_->Read(meta.slot * kPageSize, kPageSize, &image);
-    if (!s.ok()) {
+    Result<storage::Page> read =
+        co_await ssd_->ReadPage(meta.slot * kPageSize);
+    if (!read.ok() || !read->VerifyChecksum().ok() ||
+        read->page_lsn() > durable_end_lsn) {
       drop.push_back(id);
       continue;
     }
-    storage::Page page = storage::Page::Uninitialized();
-    if (!page.FromSlice(Slice(image)).ok() ||
-        !page.VerifyChecksum().ok() || page.page_lsn() > durable_end_lsn) {
-      drop.push_back(id);
-      continue;
-    }
-    meta.page_lsn = page.page_lsn();
+    meta.page_lsn = read->page_lsn();
     recovered++;
   }
   for (PageId id : drop) Purge(id);
@@ -652,7 +624,7 @@ sim::Task<> BufferPool::SpillOne(std::unique_ptr<Frame> frame,
                                  std::shared_ptr<sim::Event> barrier,
                                  LifePtr life, uint64_t epoch, SsdPtr ssd) {
   PageId page_id = frame->page_id;
-  co_await SpillToSsd(page_id, frame->page, life, ssd);
+  co_await SpillToSsd(page_id, std::move(frame->page), life, ssd);
   if (life->alive && life->epoch == epoch) {
     if (frame->dirty) {
       auto meta = ssd_meta_.find(page_id);
@@ -677,9 +649,8 @@ sim::Task<> BufferPool::SpillOne(std::unique_ptr<Frame> frame,
   barrier->Set();
 }
 
-sim::Task<> BufferPool::SpillToSsd(PageId page_id,
-                                   const storage::Page& page, LifePtr life,
-                                   SsdPtr ssd) {
+sim::Task<> BufferPool::SpillToSsd(PageId page_id, storage::Page page,
+                                   LifePtr life, SsdPtr ssd) {
   uint64_t slot;
   auto meta = ssd_meta_.find(page_id);
   if (meta != ssd_meta_.end()) {
@@ -736,9 +707,14 @@ sim::Task<> BufferPool::SpillToSsd(PageId page_id,
   // spills cannot recycle it out from under this I/O.
   ssd_meta_[page_id].page_lsn = page.page_lsn();
   ssd_meta_[page_id].writers++;
-  storage::Page copy = page;
-  copy.UpdateChecksum();
-  co_await ssd->Write(slot * kPageSize, copy.AsSlice());
+  // The device keeps the frame, so an image still aliasing an RBIO
+  // response buffer gets a frame of its own first: a stored page must not
+  // pin a whole multi-page wire frame. A clean image whose checksum is
+  // still current (e.g. promoted and verified, never mutated since) goes
+  // back by reference: no detach, no CRC pass, no copy into the device.
+  page.Unalias();
+  page.UpdateChecksum();
+  (void)co_await ssd->WritePage(slot * kPageSize, std::move(page));
   // The SSD index survives Crash() (RBPEX), so release the slot pin as
   // long as the pool object itself is alive — even across an epoch bump.
   if (life->alive) {

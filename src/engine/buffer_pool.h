@@ -17,6 +17,12 @@
 //    index by scanning slot headers (checksums verified), discarding
 //    pages newer than the durable log end — a warm cache survives short
 //    failures, which is the point of §3.3.
+//  * zero-copy RBPEX: a spill hands the victim's Page frame to the SSD
+//    device and a promotion gets a Page sharing the stored frame back, so
+//    a clean page's round trip copies nothing and computes one CRC (the
+//    promotion's VerifyChecksum, which always runs, with the page-id
+//    check); the spill's UpdateChecksum is skipped while the image's
+//    checksum is current.
 //  * misses go to a PageFetcher (the owner's GetPage@LSN client); in-
 //    flight fetches are deduplicated.
 //  * prefetch pipeline: Prefetch() issues fire-and-forget fetches that
@@ -76,10 +82,6 @@ struct BufferPoolStats {
   // always resident, so the leaf-only rate is the harsher cache metric.
   uint64_t leaf_hits = 0;
   uint64_t leaf_misses = 0;
-  // PageRef::EnsureChecksum outcomes: recomputes (frame dirtied since the
-  // last checksum) vs skips (frame still clean — the CRC pass avoided).
-  uint64_t checksum_recomputes = 0;
-  uint64_t checksum_skips = 0;
   // Prefetch pipeline. `issued` counts speculative loads started (and
   // range-readahead installs); `hits` counts the first demand access that
   // found a prefetched frame; `wasted` counts prefetched frames evicted
@@ -123,13 +125,7 @@ class PageRef {
   bool valid() const { return frame_ != nullptr; }
 
   /// Mark the frame dirty (checkpointing on Page Servers scans these).
-  /// Also invalidates the frame's cached checksum.
   void MarkDirty();
-
-  /// Bring the in-frame checksum up to date, recomputing only if the
-  /// frame was dirtied since the last recompute. Serving a clean frame
-  /// repeatedly (the GetPage@LSN hot path) skips the CRC pass.
-  void EnsureChecksum();
 
   void Release();
 
@@ -297,8 +293,10 @@ class BufferPool {
                        uint64_t epoch, SsdPtr ssd);
 
   // Write a page image into the SSD tier (allocating / recycling slots).
-  sim::Task<> SpillToSsd(PageId page_id, const storage::Page& page,
-                         LifePtr life, SsdPtr ssd);
+  // Takes the image by value: its checksum is brought up to date in place
+  // and the device keeps the frame.
+  sim::Task<> SpillToSsd(PageId page_id, storage::Page page, LifePtr life,
+                         SsdPtr ssd);
 
   // Load one prefetched page (SSD promotion or remote fetch) and install
   // it cold; `barrier` is this page's in-flight event.

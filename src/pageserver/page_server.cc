@@ -415,10 +415,10 @@ sim::Task<Result<storage::Page>> PageServer::ServeLocal(PageId page_id) {
   }
   Result<engine::PageRef> ref = co_await pool_->GetPage(page_id);
   if (!ref.ok()) co_return Result<storage::Page>(ref.status());
-  // Checksum the cached frame in place (recomputed only when dirtied
-  // since the last serve), then ship a COW reference: no 8 KiB copy —
-  // the applier's next write to this frame detaches it instead.
-  ref->EnsureChecksum();
+  // Checksum the cached frame in place (a no-op while the page's
+  // checksum is still current), then ship a COW reference: no 8 KiB
+  // copy — the applier's next write to this frame detaches it instead.
+  ref->page()->UpdateChecksum();
   storage::Page copy = *ref->page();
   co_return std::move(copy);
 }
@@ -862,7 +862,7 @@ sim::Task<> PageServer::CheckpointWriteBatch(
       status = ref.status();
       break;
     }
-    ref->EnsureChecksum();
+    ref->page()->UpdateChecksum();
     batch.append(ref->page()->cdata(), kPageSize);
     captured.emplace_back(id, pool_->DirtyGen(id));
   }

@@ -3,13 +3,24 @@
 // SimBlockDevice models one device with a latency profile and optional
 // outage injection; ReplicatedBlockDevice adds N-way replication with
 // write quorum K — the shape of the XIO landing zone and of XStore.
+//
+// SimBlockDevice stores its bytes as 8 KiB refcounted storage::Page
+// frames, one per page-aligned slot. Besides the byte Read/Write every
+// BlockDevice offers, it has a page-granular path for the RBPEX SSD tier:
+// WritePage keeps the caller's frame and ReadPage hands back a Page that
+// shares the stored frame, so a page round trip copies nothing. A byte
+// Write into a frame that an outstanding Page still shares detaches the
+// frame first (copy-on-write), so that Page keeps its snapshot — anything
+// that corrupts stored bytes on purpose (bit-rot injection) must go
+// through that byte path, never through a Page's frame.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -23,6 +34,7 @@
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "storage/page.h"
 
 namespace socrates {
 namespace storage {
@@ -46,8 +58,9 @@ class BlockDevice {
   virtual const CounterStats& stats() const = 0;
 };
 
-/// In-memory device with modelled latency. Storage is a sparse chunk map so
-/// multi-GiB address spaces cost only what is actually written.
+/// In-memory device with modelled latency. Storage is a sparse map of
+/// 8 KiB page frames, so multi-GiB address spaces cost only what is
+/// actually written.
 class SimBlockDevice : public BlockDevice {
  public:
   SimBlockDevice(sim::Simulator& sim, sim::DeviceProfile profile,
@@ -56,11 +69,9 @@ class SimBlockDevice : public BlockDevice {
 
   sim::Task<Status> Read(uint64_t offset, uint64_t len,
                          std::string* out) override {
-    co_await sim::Delay(sim_, profile_.read.Sample(rng_) +
-                                  profile_.TransferUs(len) +
-                                  chaos_port_.GrayDelayUs());
+    co_await sim::Delay(sim_, ReadDelayUs(len));
     if (chaos_port_.Out()) co_return Status::Unavailable("device outage");
-    out->assign(len, '\0');
+    out->resize(len);
     ReadRaw(offset, len, out->data());
     stats_.reads++;
     stats_.bytes_read += len;
@@ -68,13 +79,46 @@ class SimBlockDevice : public BlockDevice {
   }
 
   sim::Task<Status> Write(uint64_t offset, Slice data) override {
-    co_await sim::Delay(sim_, profile_.write.Sample(rng_) +
-                                  profile_.TransferUs(data.size()) +
-                                  chaos_port_.GrayDelayUs());
+    co_await sim::Delay(sim_, WriteDelayUs(data.size()));
     if (chaos_port_.Out()) co_return Status::Unavailable("device outage");
     WriteRaw(offset, data.data(), data.size());
     stats_.writes++;
     stats_.bytes_written += data.size();
+    co_return Status::OK();
+  }
+
+  /// Read the page frame at page-aligned `offset` by reference: the
+  /// returned Page shares the stored frame (no copy, checksum-current bit
+  /// as stored). An unwritten slot reads as the all-zero page. Latency,
+  /// outage and stats are exactly those of an 8 KiB Read.
+  sim::Task<Result<Page>> ReadPage(uint64_t offset) {
+    if (offset % kPageSize != 0) {
+      co_return Result<Page>(
+          Status::InvalidArgument("ReadPage: unaligned offset"));
+    }
+    co_await sim::Delay(sim_, ReadDelayUs(kPageSize));
+    if (chaos_port_.Out()) {
+      co_return Result<Page>(Status::Unavailable("device outage"));
+    }
+    stats_.reads++;
+    stats_.bytes_read += kPageSize;
+    auto it = frames_.find(offset / kPageSize);
+    co_return it == frames_.end() ? Page() : it->second;
+  }
+
+  /// Store `page` at page-aligned `offset`, keeping its frame (no copy).
+  /// The image is the one passed in: later mutation of the caller's Page
+  /// detaches and leaves the stored frame alone. Latency, outage and
+  /// stats are exactly those of an 8 KiB Write.
+  sim::Task<Status> WritePage(uint64_t offset, Page page) {
+    if (offset % kPageSize != 0) {
+      co_return Status::InvalidArgument("WritePage: unaligned offset");
+    }
+    co_await sim::Delay(sim_, WriteDelayUs(kPageSize));
+    if (chaos_port_.Out()) co_return Status::Unavailable("device outage");
+    frames_[offset / kPageSize] = std::move(page);
+    stats_.writes++;
+    stats_.bytes_written += kPageSize;
     co_return Status::OK();
   }
 
@@ -101,12 +145,11 @@ class SimBlockDevice : public BlockDevice {
     uint64_t pos = 0;
     while (pos < len) {
       uint64_t abs = offset + pos;
-      uint64_t chunk = abs / kChunkSize;
-      uint64_t within = abs % kChunkSize;
-      uint64_t n = std::min(kChunkSize - within, len - pos);
-      auto it = chunks_.find(chunk);
-      if (it != chunks_.end()) {
-        memcpy(out + pos, it->second.data() + within, n);
+      uint64_t within = abs % kPageSize;
+      uint64_t n = std::min<uint64_t>(kPageSize - within, len - pos);
+      auto it = frames_.find(abs / kPageSize);
+      if (it != frames_.end()) {
+        memcpy(out + pos, it->second.cdata() + within, n);
       } else {
         memset(out + pos, 0, n);
       }
@@ -114,33 +157,47 @@ class SimBlockDevice : public BlockDevice {
     }
   }
 
+  /// Byte write into the stored frames. A frame still shared with a Page
+  /// handed out by ReadPage (or kept by WritePage) is detached first, so
+  /// that Page keeps its snapshot; a partial write into a new slot starts
+  /// from zeros.
   void WriteRaw(uint64_t offset, const char* data, uint64_t len) {
     uint64_t pos = 0;
     while (pos < len) {
       uint64_t abs = offset + pos;
-      uint64_t chunk = abs / kChunkSize;
-      uint64_t within = abs % kChunkSize;
-      uint64_t n = std::min(kChunkSize - within, len - pos);
-      auto it = chunks_.find(chunk);
-      if (it == chunks_.end()) {
-        it = chunks_.emplace(chunk, std::string(kChunkSize, '\0')).first;
+      uint64_t within = abs % kPageSize;
+      uint64_t n = std::min<uint64_t>(kPageSize - within, len - pos);
+      Page& frame = frames_[abs / kPageSize];
+      if (n == kPageSize) {
+        (void)frame.FromSlice(Slice(data + pos, kPageSize));
+      } else {
+        memcpy(frame.data() + within, data + pos, n);
       }
-      memcpy(it->second.data() + within, data + pos, n);
       pos += n;
     }
   }
 
   /// Bytes of backing memory actually allocated (for size-of-data checks).
-  uint64_t allocated_bytes() const { return chunks_.size() * kChunkSize; }
+  uint64_t allocated_bytes() const { return frames_.size() * kPageSize; }
 
  private:
-  static constexpr uint64_t kChunkSize = 64 * KiB;
+  // Modelled latency of one request of `len` bytes. The page calls use
+  // these too, so a page I/O draws exactly what an 8 KiB byte I/O does.
+  SimTime ReadDelayUs(uint64_t len) {
+    return profile_.read.Sample(rng_) + profile_.TransferUs(len) +
+           chaos_port_.GrayDelayUs();
+  }
+  SimTime WriteDelayUs(uint64_t len) {
+    return profile_.write.Sample(rng_) + profile_.TransferUs(len) +
+           chaos_port_.GrayDelayUs();
+  }
 
   sim::Simulator& sim_;
   sim::DeviceProfile profile_;
   Random rng_;
   chaos::SitePort chaos_port_;
-  std::map<uint64_t, std::string> chunks_;
+  // Page-aligned slot index -> frame; absent slots read as zeros.
+  std::unordered_map<uint64_t, Page> frames_;
   CounterStats stats_;
 };
 

@@ -1,14 +1,18 @@
 // Page: the 8 KiB unit of storage shared by every tier. The header carries
 // the pageLSN that the GetPage@LSN protocol is built on, and a masked
 // CRC32-C so torn or corrupted page images are detected at every hop
-// (compute cache, page server, XStore).
+// (compute cache, RBPEX SSD tier, page server, XStore).
 //
 // Ownership model (substrate v2): a Page is a refcounted copy-on-write
 // image. Copying a Page shares the underlying frame (a refcount bump, no
 // 8 KiB memcpy); the first mutation through a non-const accessor detaches
 // onto a private frame. A Page can also alias into a buffer owned by
 // something else (e.g. an RBIO response frame) via Alias(), which is how
-// wire decode avoids materialising a fresh image per page. The rules:
+// wire decode avoids materialising a fresh image per page. The SSD tier
+// (SimBlockDevice::WritePage/ReadPage) stores and returns these frames by
+// reference too, so a clean page's spill and promote copy nothing; only an
+// image still aliasing a wire buffer is given its own frame first
+// (Unalias). The rules:
 //
 //  * const accessors (cdata(), AsSlice(), header getters, VerifyChecksum)
 //    never copy and are safe on shared frames.
@@ -18,9 +22,20 @@
 //  * read-only call sites that hold a non-const Page* must use cdata()
 //    explicitly — plain data() resolves to the mutable overload and would
 //    force a needless detach on a shared frame.
+//
+// Checksum-current bit: each Page remembers whether its stored checksum
+// is known to match its bytes. UpdateChecksum and a passing
+// VerifyChecksum set it; data(), every setter, Format and FromSlice clear
+// it; copies carry it. UpdateChecksum returns at once while it is set (no
+// detach, no CRC pass), so re-spilling or re-serving a clean image is
+// free. VerifyChecksum never trusts the bit: it always recomputes. The
+// one rule callers keep: a char* taken from data() must not be written
+// after a later UpdateChecksum or VerifyChecksum on the same Page — take
+// a fresh data() instead, which clears the bit again.
 
 #pragma once
 
+#include <cassert>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -70,8 +85,22 @@ class Page {
   /// `owner`; mutation detaches onto a private frame, so the owner's
   /// bytes are never written through this view.
   static Page Alias(std::shared_ptr<const void> owner, const char* image) {
-    return Page(std::shared_ptr<char>(std::move(owner),
-                                      const_cast<char*>(image)));
+    Page page(std::shared_ptr<char>(std::move(owner),
+                                    const_cast<char*>(image)));
+    page.aliased_ = true;
+    return page;
+  }
+
+  /// Give a Page made by Alias() a frame of its own (one 8 KiB copy; the
+  /// checksum-current bit is kept), so a long-lived holder such as the
+  /// SSD tier does not keep the whole foreign buffer — possibly a
+  /// multi-page RBIO batch response — alive. No-op for any other Page.
+  void Unalias() {
+    if (!aliased_) return;
+    std::shared_ptr<char> fresh = NewFrame();
+    memcpy(fresh.get(), data_.get(), kPageSize);
+    data_ = std::move(fresh);
+    aliased_ = false;
   }
 
   // Copies share the frame; the next mutation on either side detaches.
@@ -80,9 +109,11 @@ class Page {
   Page(Page&&) noexcept = default;
   Page& operator=(Page&&) noexcept = default;
 
-  /// Mutable image bytes: detaches from a shared frame first.
+  /// Mutable image bytes: detaches from a shared frame first and clears
+  /// the checksum-current bit (the caller may now change any byte).
   char* data() {
     Detach();
+    checksum_current_ = false;
     return data_.get();
   }
   /// Read-only image bytes: never detaches. Use this from read paths that
@@ -94,9 +125,14 @@ class Page {
   /// True when this Page is the sole owner of its frame (diagnostics).
   bool unique() const { return data_.use_count() == 1; }
 
+  /// True while the stored checksum is known to match the bytes (set by
+  /// UpdateChecksum and a passing VerifyChecksum, cleared by mutators).
+  bool checksum_current() const { return checksum_current_; }
+
   /// Zero the page and stamp a fresh header.
   void Format(PageId id, PageType type) {
     char* d = DetachForOverwrite();
+    checksum_current_ = false;
     memset(d, 0, kPageSize);
     EncodeFixed32(d + 4, static_cast<uint32_t>(type));
     EncodeFixed64(d + 8, id);
@@ -127,22 +163,28 @@ class Page {
   uint32_t aux() const { return DecodeFixed32(data_.get() + 28); }
   void set_aux(uint32_t v) { EncodeFixed32(data() + 28, v); }
 
-  /// Recompute and store the header checksum. Call before the page image
-  /// leaves this node (device write, RPC reply).
+  /// Bring the stored header checksum up to date. Call before the page
+  /// image leaves this node (device write, RPC reply). Returns at once
+  /// when the checksum is already current — no detach, no CRC pass.
   void UpdateChecksum() {
+    if (checksum_current_) {
+      assert(StoredChecksum() == ComputedChecksum());
+      return;
+    }
     char* d = data();
-    uint32_t crc = crc32c::Value(d + 4, kPageSize - 4);
-    EncodeFixed32(d, crc32c::Mask(crc));
+    EncodeFixed32(d, crc32c::Mask(ComputedChecksum()));
+    checksum_current_ = true;
   }
 
-  /// Verify the stored checksum against the page contents.
+  /// Verify the stored checksum against the page contents. Always
+  /// recomputes (the checksum-current bit is never trusted here); a pass
+  /// sets the bit.
   Status VerifyChecksum() const {
-    uint32_t stored = crc32c::Unmask(DecodeFixed32(data_.get()));
-    uint32_t actual = crc32c::Value(data_.get() + 4, kPageSize - 4);
-    if (stored != actual) {
+    if (StoredChecksum() != ComputedChecksum()) {
       return Status::Corruption("page checksum mismatch, page " +
                                 std::to_string(page_id()));
     }
+    checksum_current_ = true;
     return Status::OK();
   }
 
@@ -152,11 +194,19 @@ class Page {
       return Status::InvalidArgument("page image has wrong size");
     }
     memcpy(DetachForOverwrite(), s.data(), kPageSize);
+    checksum_current_ = false;
     return Status::OK();
   }
 
  private:
   explicit Page(std::shared_ptr<char> frame) : data_(std::move(frame)) {}
+
+  uint32_t StoredChecksum() const {
+    return crc32c::Unmask(DecodeFixed32(data_.get()));
+  }
+  uint32_t ComputedChecksum() const {
+    return crc32c::Value(data_.get() + 4, kPageSize - 4);
+  }
 
   // Single-allocation 8 KiB frame (array control block shared via the
   // aliasing conversion), left uninitialised.
@@ -183,17 +233,25 @@ class Page {
       std::shared_ptr<char> fresh = NewFrame();
       memcpy(fresh.get(), data_.get(), kPageSize);
       data_ = std::move(fresh);
+      aliased_ = false;
     }
   }
 
   // Like Detach() but the caller overwrites the whole frame, so a shared
   // frame is replaced without copying the old contents.
   char* DetachForOverwrite() {
-    if (data_.use_count() != 1) data_ = NewFrame();
+    if (data_.use_count() != 1) {
+      data_ = NewFrame();
+      aliased_ = false;
+    }
     return data_.get();
   }
 
   std::shared_ptr<char> data_;
+  // Mutable: VerifyChecksum is a const read path that records its pass.
+  mutable bool checksum_current_ = false;
+  // True while data_ points into a buffer owned by someone else (Alias).
+  bool aliased_ = false;
 };
 
 }  // namespace storage

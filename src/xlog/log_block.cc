@@ -20,19 +20,21 @@ constexpr size_t kHeaderBytes = 4 + 2 + 1 + 8 + 4 + 4 + 4;
 }  // namespace
 
 std::string EncodeBlockFrame(const LogBlock& block, bool compress) {
-  std::string frame;
   std::string stored;
-  uint8_t flags = 0;
   if (compress && !block.payload().empty()) {
     compress::Compress(Slice(block.payload()), &stored);
-    if (stored.size() < block.payload().size()) {
-      flags |= kBlockFrameFlagCompressed;
-    } else {
-      stored.clear();  // incompressible: ship raw, flag stays clear
-    }
+    // Incompressible: ship raw, flag stays clear.
+    if (stored.size() >= block.payload().size()) stored.clear();
   }
-  const std::string& body =
-      (flags & kBlockFrameFlagCompressed) ? stored : block.payload();
+  return EncodeStoredBlockFrame(block, Slice(stored));
+}
+
+std::string EncodeStoredBlockFrame(const LogBlock& block,
+                                   Slice compressed) {
+  std::string frame;
+  const uint8_t flags = compressed.empty() ? 0 : kBlockFrameFlagCompressed;
+  const Slice body =
+      compressed.empty() ? Slice(block.payload()) : compressed;
   frame.reserve(kHeaderBytes + 4 * block.partitions().size() +
                 body.size() + 4);
   PutFixed32(&frame, kFrameMagic);
@@ -43,7 +45,7 @@ std::string EncodeBlockFrame(const LogBlock& block, bool compress) {
   PutFixed32(&frame, static_cast<uint32_t>(body.size()));
   PutFixed32(&frame, static_cast<uint32_t>(block.partitions().size()));
   for (PartitionId p : block.partitions()) PutFixed32(&frame, p);
-  frame.append(body);
+  frame.append(body.data(), body.size());
   PutFixed32(&frame,
              crc32c::Mask(crc32c::Value(body.data(), body.size())));
   return frame;

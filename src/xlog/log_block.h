@@ -112,6 +112,14 @@ inline constexpr uint8_t kBlockFrameFlagCompressed = 0x1;
 /// with the flag clear, so the flag always tells the receiver the truth.
 std::string EncodeBlockFrame(const LogBlock& block, bool compress);
 
+/// Encode `block` as a wire frame around a body the caller already chose:
+/// `compressed` is the payload's compressed form (sent with the flag
+/// set), or empty to send the payload raw. Lets a caller that compressed
+/// the block for storage reuse that image instead of compressing again;
+/// the bytes equal EncodeBlockFrame(block, compress) for the same choice.
+std::string EncodeStoredBlockFrame(const LogBlock& block,
+                                   Slice compressed);
+
 /// Decode a wire frame into `*out`. Returns:
 ///   * NotSupported — any version other than kBlockFrameVersion;
 ///   * Corruption   — bad magic, unknown flags, truncated frame, checksum

@@ -186,9 +186,11 @@ sim::Task<> XLogClient::FlusherLoop() {
       co_await sim::Delay(sim_, 1000);
     }
 
-    // Availability path: fire-and-forget to XLOG (lossy).
+    // Availability path: fire-and-forget to XLOG (lossy). The wire frame
+    // reuses the stored image compressed above (empty when kept raw).
     if (xlog_ != nullptr) {
-      sim::Spawn(sim_, DeliverAsync(block));
+      sim::Spawn(sim_,
+                 DeliverAsync(EncodeStoredBlockFrame(block, Slice(stored))));
     }
 
     // Durability path: pipelined quorum write; bounded in-flight.
@@ -240,8 +242,7 @@ sim::Task<> XLogClient::VisibleWatch(Lsn end, SimTime hardened_at_us) {
   hist_visible_us_.Add(static_cast<double>(sim_.now() - hardened_at_us));
 }
 
-sim::Task<> XLogClient::DeliverAsync(LogBlock block) {
-  std::string frame = EncodeBlockFrame(block, opts_.compress_blocks);
+sim::Task<> XLogClient::DeliverAsync(std::string frame) {
   wire_bytes_sent_ += frame.size();
   SimTime link_delay =
       opts_.injector != nullptr

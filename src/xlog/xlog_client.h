@@ -24,7 +24,8 @@
 // (bounded) to amortize per-I/O cost over bigger blocks.
 //
 // Blocks may be stored compressed in the LZ and travel the async wire as
-// checksummed block frames (log_block.h).
+// checksummed block frames (log_block.h); each block is compressed once
+// and that one image feeds both the LZ write and the wire frame.
 //
 // If the LZ is full (destaging behind) the flusher stalls and retries:
 // the Primary cannot process update transactions until space frees (§4.3).
@@ -146,7 +147,7 @@ class XLogClient : public engine::LogSink {
   sim::Task<> WriteBlockTask(LogBlock block, std::string stored,
                              bool compressed, SimTime cut_at_us);
   sim::Task<> VisibleWatch(Lsn end, SimTime hardened_at_us);
-  sim::Task<> DeliverAsync(LogBlock block);
+  sim::Task<> DeliverAsync(std::string frame);
   sim::Task<> NotifyAsync(Lsn hardened);
 
   /// Adaptive target: EWMA arrival bytes/us x EWMA write latency us,

@@ -270,7 +270,7 @@ TEST(CheckpointTest, ConcurrentApplyInterleavings) {
       auto ref = co_await ps->pool()->GetPage(id);
       EXPECT_TRUE(ref.ok()) << ref.status().ToString();
       if (!ref.ok()) continue;
-      ref->EnsureChecksum();
+      ref->page()->UpdateChecksum();
       std::string raw = d.xstore().ReadRaw(
           ps->data_blob(), (id - first) * kPageSize, kPageSize);
       EXPECT_EQ(raw, std::string(ref->page()->data(), kPageSize))

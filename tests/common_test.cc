@@ -315,6 +315,26 @@ TEST(CompressTest, DeterministicOutput) {
   EXPECT_EQ(a, b);
 }
 
+TEST(CompressTest, OutputIndependentOfEarlierCalls) {
+  // The match table is reused across calls; entries left by earlier
+  // inputs must never produce a match, so a block's encoding depends on
+  // its own bytes only.
+  std::string raw;
+  for (int i = 0; i < 300; i++) raw += "row-" + std::to_string(i % 17) + ";";
+  std::string shifted = "xx" + raw;
+  std::string first, after_self, after_other;
+  compress::Compress(Slice(raw), &first);
+  compress::Compress(Slice(raw), &after_self);
+  std::string scratch;
+  compress::Compress(Slice(shifted), &scratch);
+  compress::Compress(Slice(raw), &after_other);
+  EXPECT_EQ(first, after_self);
+  EXPECT_EQ(first, after_other);
+  std::string back;
+  ASSERT_TRUE(compress::Decompress(Slice(first), raw.size(), &back).ok());
+  EXPECT_EQ(back, raw);
+}
+
 TEST(CompressTest, CorruptStreamsRejected) {
   std::string raw(500, 'z');
   std::string packed;

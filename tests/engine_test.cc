@@ -480,6 +480,97 @@ TEST(BufferPoolTest, RbpexSurvivesCrashAndRecovers) {
   EXPECT_EQ(fetcher.fetches_, fetches_before);  // warm cache: no refetch
 }
 
+TEST(BufferPoolTest, PromotedPageMutationLeavesSsdImageIntact) {
+  // The SSD tier hands promoted pages out by reference: mutating one in
+  // memory must detach it, so the RBPEX image that survives a crash is
+  // the pre-mutation one, and it still verifies. No fetcher: every read
+  // after the first spill must come from the SSD tier.
+  Simulator s;
+  BufferPoolOptions opts;
+  opts.mem_pages = 1;
+  opts.ssd_pages = 4;
+  BufferPool pool(s, opts, /*fetcher=*/nullptr);
+  for (PageId id = 1; id <= 2; id++) {
+    auto ref = pool.NewPage(id);
+    ASSERT_TRUE(ref.ok());
+    BTreePage::Format(ref->page(), id, 0, kMinKey, kMaxKey, kInvalidPageId);
+    ref->page()->set_page_lsn(10 * id);
+  }
+  s.Run();  // spills page 1
+  RunSim(s, [&]() -> Task<> {
+    auto ref = co_await pool.GetPage(1);  // promote 1, spill 2
+    EXPECT_TRUE(ref.ok());
+    if (!ref.ok()) co_return;
+    EXPECT_EQ(ref->page()->page_lsn(), 10u);
+    ref->page()->set_page_lsn(99);
+    memcpy(ref->page()->data() + 500, "mutated", 7);
+    ref.value().MarkDirty();
+  });
+  EXPECT_EQ(pool.stats().ssd_hits, 1u);
+  EXPECT_TRUE(pool.InMemory(1));  // never re-spilled
+  pool.Crash();
+  RunSim(s, [&]() -> Task<> {
+    auto recovered = co_await pool.Recover(/*durable_end_lsn=*/1000);
+    EXPECT_TRUE(recovered.ok());
+    if (recovered.ok()) {
+      EXPECT_EQ(*recovered, 2u);
+    }
+    auto ref = co_await pool.GetPage(1);
+    EXPECT_TRUE(ref.ok());
+    if (!ref.ok()) co_return;
+    EXPECT_EQ(ref->page()->page_lsn(), 10u);
+    EXPECT_TRUE(ref->page()->VerifyChecksum().ok());
+    EXPECT_NE(std::string(ref->page()->cdata() + 500, 7), "mutated");
+  });
+  EXPECT_EQ(pool.stats().ssd_hits, 2u);
+}
+
+TEST(BufferPoolTest, SpilledAliasedPageDoesNotPinItsBuffer) {
+  // Two page images sharing one buffer, like an RBIO batch response whose
+  // decoded pages alias it. Once both have spilled to SSD and the fetch
+  // side has let go, nothing may keep the buffer alive.
+  Simulator s;
+  MapFetcher fetcher(s);
+  auto buffer = std::make_shared<std::string>(2 * kPageSize, '\0');
+  for (PageId id = 1; id <= 2; id++) {
+    storage::Page p = MakeLeafPage(id, 10 * id);
+    p.UpdateChecksum();
+    memcpy(buffer->data() + (id - 1) * kPageSize, p.cdata(), kPageSize);
+    fetcher.pages_[id] = storage::Page::Alias(
+        buffer, buffer->data() + (id - 1) * kPageSize);
+    // Verified on arrival, as the RBIO client does: the spill then has
+    // no checksum to recompute and would store the alias as it is.
+    ASSERT_TRUE(fetcher.pages_[id].VerifyChecksum().ok());
+  }
+  fetcher.pages_[3] = MakeLeafPage(3, 30);
+  std::weak_ptr<std::string> watch = buffer;
+  buffer.reset();
+  BufferPoolOptions opts;
+  opts.mem_pages = 1;
+  opts.ssd_pages = 4;
+  BufferPool pool(s, opts, &fetcher);
+  RunSim(s, [&]() -> Task<> {
+    for (PageId id = 1; id <= 3; id++) {
+      auto r = co_await pool.GetPage(id);  // spills 1, then 2
+      EXPECT_TRUE(r.ok());
+    }
+  });
+  fetcher.pages_.erase(1);
+  fetcher.pages_.erase(2);
+  EXPECT_TRUE(watch.expired());
+  RunSim(s, [&]() -> Task<> {
+    for (PageId id = 1; id <= 2; id++) {
+      auto r = co_await pool.GetPage(id);  // SSD promotions
+      EXPECT_TRUE(r.ok());
+      if (r.ok()) {
+        EXPECT_EQ(r->page()->page_lsn(), 10 * id);
+      }
+    }
+  });
+  EXPECT_EQ(pool.stats().ssd_hits, 2u);
+  EXPECT_EQ(fetcher.fetches_, 3);
+}
+
 TEST(BufferPoolTest, RecoverDiscardsUnhardenedPages) {
   Simulator s;
   MapFetcher fetcher(s);

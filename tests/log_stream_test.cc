@@ -170,6 +170,20 @@ std::string WithFrameVersion(std::string frame, uint16_t version) {
   return frame;
 }
 
+TEST(BlockFrameTest, StoredBodyFrameEqualsSelfCompressedFrame) {
+  // The flusher compresses a block once and builds the wire frame from
+  // that stored image; the bytes must equal a frame that compresses for
+  // itself.
+  LogBlock b = TestBlock();
+  std::string stored;
+  compress::Compress(Slice(b.payload()), &stored);
+  ASSERT_LT(stored.size(), b.payload().size());
+  EXPECT_EQ(EncodeStoredBlockFrame(b, Slice(stored)),
+            EncodeBlockFrame(b, /*compress=*/true));
+  EXPECT_EQ(EncodeStoredBlockFrame(b, Slice()),
+            EncodeBlockFrame(b, /*compress=*/false));
+}
+
 TEST(BlockFrameTest, TooNewFrameAnswersNotSupported) {
   // A receiver accepts only its own layout, older or newer.
   std::string frame = EncodeBlockFrame(TestBlock(), true);

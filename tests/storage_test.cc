@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "storage/block_device.h"
 #include "storage/page.h"
 
@@ -105,6 +108,27 @@ TEST(PageTest, AliasReadsForeignBufferWithoutCopy) {
   EXPECT_EQ((*frame)[100], src.cdata()[100]);
 }
 
+TEST(PageTest, UnaliasCopiesOnlyAliasedImages) {
+  Page src;
+  src.Format(9, PageType::kBTreeLeaf);
+  src.UpdateChecksum();
+  auto frame = std::make_shared<std::string>(src.cdata(), kPageSize);
+  Page aliased = Page::Alias(frame, frame->data());
+  ASSERT_TRUE(aliased.VerifyChecksum().ok());
+  aliased.Unalias();
+  EXPECT_NE(aliased.cdata(), frame->data());
+  EXPECT_EQ(std::string(aliased.cdata(), kPageSize), *frame);
+  EXPECT_TRUE(aliased.checksum_current());
+  EXPECT_EQ(frame.use_count(), 1);  // the buffer is no longer pinned
+  // An own frame is left alone.
+  const char* own = aliased.cdata();
+  aliased.Unalias();
+  EXPECT_EQ(aliased.cdata(), own);
+  Page copy = src;
+  copy.Unalias();
+  EXPECT_EQ(copy.cdata(), src.cdata());
+}
+
 TEST(PageTest, SliceRoundTrip) {
   Page a;
   a.Format(9, PageType::kVersionStore);
@@ -116,6 +140,79 @@ TEST(PageTest, SliceRoundTrip) {
   EXPECT_EQ(b.page_id(), 9u);
   EXPECT_EQ(b.page_lsn(), 55u);
   EXPECT_TRUE(b.FromSlice(Slice("short")).IsInvalidArgument());
+}
+
+TEST(PageTest, EveryMutatorClearsChecksumCurrentBit) {
+  Page base;
+  base.Format(3, PageType::kBTreeLeaf);
+  base.UpdateChecksum();
+  ASSERT_TRUE(base.checksum_current());
+  const std::vector<std::function<void(Page*)>> mutators = {
+      [](Page* p) { p->data()[100] = 'm'; },
+      [](Page* p) { p->set_type(PageType::kMeta); },
+      [](Page* p) { p->set_page_id(4); },
+      [](Page* p) { p->set_page_lsn(77); },
+      [](Page* p) { p->set_slot_count(5); },
+      [](Page* p) { p->set_free_offset(64); },
+      [](Page* p) { p->set_aux(9); },
+      [](Page* p) { p->Format(3, PageType::kBTreeLeaf); },
+      [&base](Page* p) { ASSERT_TRUE(p->FromSlice(base.AsSlice()).ok()); },
+  };
+  for (size_t i = 0; i < mutators.size(); i++) {
+    Page p = base;
+    ASSERT_TRUE(p.checksum_current()) << "mutator " << i;
+    mutators[i](&p);
+    EXPECT_FALSE(p.checksum_current()) << "mutator " << i;
+  }
+}
+
+TEST(PageTest, FailingVerifyDoesNotSetChecksumCurrentBit) {
+  Page p;
+  p.Format(1, PageType::kBTreeLeaf);  // stored checksum never computed
+  EXPECT_TRUE(p.VerifyChecksum().IsCorruption());
+  EXPECT_FALSE(p.checksum_current());
+  p.UpdateChecksum();
+  p.data()[300] ^= 0x10;
+  EXPECT_TRUE(p.VerifyChecksum().IsCorruption());
+  EXPECT_FALSE(p.checksum_current());
+  // A passing verify sets the bit.
+  p.data()[300] ^= 0x10;
+  EXPECT_FALSE(p.checksum_current());
+  EXPECT_TRUE(p.VerifyChecksum().ok());
+  EXPECT_TRUE(p.checksum_current());
+}
+
+TEST(PageTest, VerifyRecomputesDespiteChecksumCurrentBit) {
+  Page p;
+  p.Format(1, PageType::kBTreeLeaf);
+  char* stale = p.data();
+  p.UpdateChecksum();
+  ASSERT_TRUE(p.checksum_current());
+  // A write through a pointer taken before UpdateChecksum bypasses the
+  // bit; VerifyChecksum must not trust it.
+  stale[200] ^= 0x01;
+  EXPECT_TRUE(p.VerifyChecksum().IsCorruption());
+}
+
+TEST(PageTest, CopiesCarryChecksumCurrentBit) {
+  Page a;
+  a.Format(6, PageType::kBTreeLeaf);
+  a.set_page_lsn(40);
+  a.UpdateChecksum();
+  Page b = a;
+  EXPECT_TRUE(b.checksum_current());
+  // An already-current checksum costs nothing: no detach.
+  b.UpdateChecksum();
+  EXPECT_EQ(a.cdata(), b.cdata());
+  // Mutating one copy clears only its own bit; the other stays valid.
+  b.set_page_lsn(41);
+  EXPECT_FALSE(b.checksum_current());
+  EXPECT_TRUE(a.checksum_current());
+  EXPECT_TRUE(a.VerifyChecksum().ok());
+  EXPECT_EQ(a.page_lsn(), 40u);
+  b.UpdateChecksum();
+  EXPECT_TRUE(b.VerifyChecksum().ok());
+  EXPECT_EQ(b.page_lsn(), 41u);
 }
 
 // ---------------------------------------------------------- SimBlockDevice
@@ -207,6 +304,171 @@ TEST(SimBlockDeviceTest, StatsAccumulate) {
   EXPECT_EQ(dev.stats().reads, 2u);
   EXPECT_EQ(dev.stats().bytes_written, 4u);
   EXPECT_EQ(dev.stats().bytes_read, 6u);
+}
+
+Page ChecksummedPage(PageId id, Lsn lsn) {
+  Page p;
+  p.Format(id, PageType::kBTreeLeaf);
+  p.set_page_lsn(lsn);
+  memcpy(p.data() + 100, "page body", 9);
+  p.UpdateChecksum();
+  return p;
+}
+
+TEST(SimBlockDeviceTest, WritePageThenReadPageSharesFrame) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd());
+  Page page = ChecksummedPage(3, 30);
+  const char* frame = page.cdata();
+  Result<Page> got(Status::Unavailable("not run"));
+  Status ws;
+  Spawn(s, [](SimBlockDevice& d, Page p, Status* w,
+              Result<Page>* out) -> Task<> {
+    *w = co_await d.WritePage(2 * kPageSize, std::move(p));
+    *out = co_await d.ReadPage(2 * kPageSize);
+  }(dev, page, &ws, &got));
+  s.Run();
+  ASSERT_TRUE(ws.ok());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->cdata(), frame);  // no copy either way
+  EXPECT_TRUE(got->checksum_current());
+  EXPECT_TRUE(got->VerifyChecksum().ok());
+  EXPECT_EQ(got->page_lsn(), 30u);
+  EXPECT_EQ(dev.allocated_bytes(), kPageSize);
+}
+
+TEST(SimBlockDeviceTest, ByteReadReturnsWhatWritePageStored) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd());
+  Page page = ChecksummedPage(4, 40);
+  std::string whole, part;
+  Spawn(s, [](SimBlockDevice& d, Page p, std::string* w,
+              std::string* pt) -> Task<> {
+    (void)co_await d.WritePage(kPageSize, std::move(p));
+    (void)co_await d.Read(kPageSize, kPageSize, w);
+    // A byte range straddling the written frame and an unwritten one.
+    (void)co_await d.Read(2 * kPageSize - 4, 8, pt);
+  }(dev, page, &whole, &part));
+  s.Run();
+  EXPECT_EQ(whole, std::string(page.cdata(), kPageSize));
+  EXPECT_EQ(part, std::string(page.cdata() + kPageSize - 4, 4) +
+                      std::string(4, '\0'));
+}
+
+TEST(SimBlockDeviceTest, ByteWriteLeavesOutstandingPageUnchanged) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd());
+  Page page = ChecksummedPage(5, 50);
+  Result<Page> before(Status::Unavailable("not run"));
+  Result<Page> after(Status::Unavailable("not run"));
+  std::string bytes;
+  Spawn(s, [](SimBlockDevice& d, Page p, Result<Page>* b, Result<Page>* a,
+              std::string* out) -> Task<> {
+    (void)co_await d.WritePage(0, std::move(p));
+    *b = co_await d.ReadPage(0);
+    // Bit-rot through the byte path: the frame is shared with *b (and
+    // the caller's page), so the write must detach it first.
+    (void)co_await d.Write(100, Slice("XYZ"));
+    *a = co_await d.ReadPage(0);
+    (void)co_await d.Read(100, 3, out);
+  }(dev, page, &before, &after, &bytes));
+  s.Run();
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(before->cdata(), page.cdata());
+  EXPECT_EQ(std::string(before->cdata() + 100, 9), "page body");
+  EXPECT_TRUE(before->VerifyChecksum().ok());
+  EXPECT_TRUE(page.VerifyChecksum().ok());
+  EXPECT_NE(after->cdata(), page.cdata());
+  EXPECT_EQ(std::string(after->cdata() + 100, 3), "XYZ");
+  EXPECT_EQ(bytes, "XYZ");
+  EXPECT_FALSE(after->checksum_current());
+  EXPECT_TRUE(after->VerifyChecksum().IsCorruption());
+}
+
+TEST(SimBlockDeviceTest, UnwrittenReadPageIsZeroPage) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd());
+  Result<Page> got(Status::Unavailable("not run"));
+  Spawn(s, [](SimBlockDevice& d, Result<Page>* out) -> Task<> {
+    *out = co_await d.ReadPage(5 * GiB);
+  }(dev, &got));
+  s.Run();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(std::string(got->cdata(), kPageSize),
+            std::string(kPageSize, '\0'));
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+}
+
+TEST(SimBlockDeviceTest, PageCallsRejectUnalignedOffsets) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd());
+  Result<Page> r{Page()};
+  Status w;
+  Spawn(s, [](SimBlockDevice& d, Result<Page>* rr, Status* ww) -> Task<> {
+    *rr = co_await d.ReadPage(100);
+    *ww = co_await d.WritePage(kPageSize + 1, Page());
+  }(dev, &r, &w));
+  s.Run();
+  EXPECT_TRUE(r.status().IsInvalidArgument());
+  EXPECT_TRUE(w.IsInvalidArgument());
+  EXPECT_EQ(dev.stats().reads + dev.stats().writes, 0u);
+}
+
+// One read then one write of page 0: through the page calls when
+// `page_calls`, else as 8 KiB byte calls. Returns each call's status and
+// completion time.
+struct PageIoTrace {
+  Status read, write;
+  SimTime read_done = 0, write_done = 0;
+  CounterStats stats;
+};
+
+PageIoTrace RunPageIo(bool page_calls, bool available) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd(), /*seed=*/11);
+  dev.SetAvailable(available);
+  PageIoTrace t;
+  Spawn(s, [](Simulator& sim, SimBlockDevice& d, bool pages,
+              PageIoTrace* out) -> Task<> {
+    Page page = ChecksummedPage(1, 10);
+    if (pages) {
+      Result<Page> r = co_await d.ReadPage(0);
+      out->read = r.status();
+    } else {
+      std::string image;
+      out->read = co_await d.Read(0, kPageSize, &image);
+    }
+    out->read_done = sim.now();
+    if (pages) {
+      out->write = co_await d.WritePage(0, page);
+    } else {
+      out->write = co_await d.Write(0, page.AsSlice());
+    }
+    out->write_done = sim.now();
+  }(s, dev, page_calls, &t));
+  s.Run();
+  t.stats = dev.stats();
+  return t;
+}
+
+TEST(SimBlockDeviceTest, PageCallsCostExactlyAnEightKiBByteCall) {
+  for (bool available : {true, false}) {
+    PageIoTrace bytes = RunPageIo(/*page_calls=*/false, available);
+    PageIoTrace pages = RunPageIo(/*page_calls=*/true, available);
+    EXPECT_GT(bytes.read_done, 0);
+    EXPECT_EQ(pages.read_done, bytes.read_done) << available;
+    EXPECT_EQ(pages.write_done, bytes.write_done) << available;
+    EXPECT_EQ(pages.read.ok(), bytes.read.ok());
+    EXPECT_EQ(pages.write.ok(), bytes.write.ok());
+    EXPECT_EQ(pages.read.IsUnavailable(), !available);
+    EXPECT_EQ(pages.write.IsUnavailable(), !available);
+    EXPECT_EQ(bytes.read.IsUnavailable(), !available);
+    EXPECT_EQ(pages.stats.reads, bytes.stats.reads);
+    EXPECT_EQ(pages.stats.writes, bytes.stats.writes);
+    EXPECT_EQ(pages.stats.bytes_read, bytes.stats.bytes_read);
+    EXPECT_EQ(pages.stats.bytes_written, bytes.stats.bytes_written);
+  }
 }
 
 // --------------------------------------------------- ReplicatedBlockDevice
