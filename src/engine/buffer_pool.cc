@@ -615,7 +615,13 @@ sim::Task<> BufferPool::EvictionLoop(LifePtr life, uint64_t epoch,
       spills.push_back(
           SpillOne(std::move(f), std::move(barrier), life, epoch, ssd));
     }
+    const uint64_t failures = stats_.ssd_write_failures;
     co_await sim::Gather(sim_, std::move(spills));
+    // A failed spill put its dirty victim back into memory. Stop rather
+    // than retry against a device that is down; the next access
+    // reschedules eviction (transient overflow, as when all are pinned).
+    // (The pool may have been destroyed during the gather.)
+    if (life->alive && stats_.ssd_write_failures != failures) break;
   }
   if (life->alive && life->epoch == epoch) evicting_ = false;
 }
@@ -624,9 +630,24 @@ sim::Task<> BufferPool::SpillOne(std::unique_ptr<Frame> frame,
                                  std::shared_ptr<sim::Event> barrier,
                                  LifePtr life, uint64_t epoch, SsdPtr ssd) {
   PageId page_id = frame->page_id;
-  co_await SpillToSsd(page_id, std::move(frame->page), life, ssd);
+  Status written = co_await SpillToSsd(frame.get(), life, ssd);
   if (life->alive && life->epoch == epoch) {
-    if (frame->dirty) {
+    if (!written.ok()) {
+      // The SSD tier no longer holds this page (SpillToSsd dropped its
+      // entry). A dirty image goes back into memory, so no update is
+      // lost; a clean one leaves the node, as without an SSD tier.
+      stats_.ssd_write_failures++;
+      if (frame->dirty && frames_.count(page_id) == 0) {
+        dirty_index_.insert(page_id);
+        frame->cold = true;
+        frame->prefetched = false;
+        mem_cold_.push_front(page_id);
+        frame->lru_it = mem_cold_.begin();
+        frames_.emplace(page_id, std::move(frame));
+      } else {
+        ReportEviction(page_id, frame->page.page_lsn());
+      }
+    } else if (frame->dirty) {
       auto meta = ssd_meta_.find(page_id);
       if (meta != ssd_meta_.end()) {
         meta->second.dirty = true;
@@ -649,8 +670,10 @@ sim::Task<> BufferPool::SpillOne(std::unique_ptr<Frame> frame,
   barrier->Set();
 }
 
-sim::Task<> BufferPool::SpillToSsd(PageId page_id, storage::Page page,
-                                   LifePtr life, SsdPtr ssd) {
+sim::Task<Status> BufferPool::SpillToSsd(Frame* frame, LifePtr life,
+                                         SsdPtr ssd) {
+  const PageId page_id = frame->page_id;
+  storage::Page& page = frame->page;
   uint64_t slot;
   auto meta = ssd_meta_.find(page_id);
   if (meta != ssd_meta_.end()) {
@@ -714,15 +737,30 @@ sim::Task<> BufferPool::SpillToSsd(PageId page_id, storage::Page page,
   // back by reference: no detach, no CRC pass, no copy into the device.
   page.Unalias();
   page.UpdateChecksum();
-  (void)co_await ssd->WritePage(slot * kPageSize, std::move(page));
+  Status s = co_await ssd->WritePage(slot * kPageSize, page);
   // The SSD index survives Crash() (RBPEX), so release the slot pin as
   // long as the pool object itself is alive — even across an epoch bump.
   if (life->alive) {
     auto m2 = ssd_meta_.find(page_id);
     if (m2 != ssd_meta_.end() && m2->second.slot == slot) {
       m2->second.writers--;
+      if (!s.ok()) {
+        // The slot holds an older image of this page (or a recycled
+        // victim's), not the one the index now describes: drop the entry
+        // and return the slot. A dirty SSD image's bit moves to the
+        // frame, which SpillOne puts back into memory.
+        if (m2->second.dirty) {
+          frame->dirty = true;
+          frame->dirty_gen =
+              std::max(frame->dirty_gen, m2->second.dirty_gen);
+        }
+        ssd_lru_.erase(m2->second.lru_it);
+        ssd_free_slots_.push_back(slot);
+        ssd_meta_.erase(m2);
+      }
     }
   }
+  co_return s;
 }
 
 void BufferPool::TouchMem(Frame* f) {

@@ -23,6 +23,9 @@
 //    promotion's VerifyChecksum, which always runs, with the page-id
 //    check); the spill's UpdateChecksum is skipped while the image's
 //    checksum is current.
+//  * a spill whose SSD write fails drops the page's SSD entry, since the
+//    slot still holds an older image that would pass every check; a dirty
+//    victim goes back into memory (cold), a clean one is reported evicted.
 //  * misses go to a PageFetcher (the owner's GetPage@LSN client); in-
 //    flight fetches are deduplicated.
 //  * prefetch pipeline: Prefetch() issues fire-and-forget fetches that
@@ -93,6 +96,9 @@ struct BufferPoolStats {
   // Eviction passes that spilled more than one victim with overlapped
   // SSD writes.
   uint64_t spill_batches = 0;
+  // Spills whose SSD write failed: the page left the SSD tier, and a
+  // dirty victim went back into memory (cold segment).
+  uint64_t ssd_write_failures = 0;
 
   uint64_t accesses() const { return mem_hits + ssd_hits + misses; }
   /// Local hit rate (memory + SSD), over all page accesses.
@@ -241,6 +247,13 @@ class BufferPool {
   /// reflect log that never hardened). Returns number of pages recovered.
   sim::Task<Result<size_t>> Recover(Lsn durable_end_lsn);
 
+  /// Join a deployment-wide fault hub: the SSD tier's device consults
+  /// `site` for outages, failures and gray latency. No-op without an SSD
+  /// tier.
+  void AttachChaos(chaos::Injector* hub, const std::string& site) {
+    if (ssd_ != nullptr) ssd_->AttachChaos(hub, site);
+  }
+
   const BufferPoolStats& stats() const { return stats_; }
   void ResetStats() { stats_ = BufferPoolStats(); }
   size_t mem_resident() const { return frames_.size(); }
@@ -292,11 +305,13 @@ class BufferPool {
                        std::shared_ptr<sim::Event> barrier, LifePtr life,
                        uint64_t epoch, SsdPtr ssd);
 
-  // Write a page image into the SSD tier (allocating / recycling slots).
-  // Takes the image by value: its checksum is brought up to date in place
-  // and the device keeps the frame.
-  sim::Task<> SpillToSsd(PageId page_id, storage::Page page, LifePtr life,
-                         SsdPtr ssd);
+  // Write an evicted frame's page image into the SSD tier (allocating /
+  // recycling slots). The image's checksum is brought up to date in place
+  // and the device keeps a reference to its frame. If the write fails the
+  // page's SSD entry is dropped and its slot freed (a dirty entry's bit
+  // moves to `frame`), so the index never describes an image the device
+  // does not hold.
+  sim::Task<Status> SpillToSsd(Frame* frame, LifePtr life, SsdPtr ssd);
 
   // Load one prefetched page (SSD promotion or remote fetch) and install
   // it cold; `barrier` is this page's in-flight event.

@@ -13,6 +13,13 @@
 // frame first (copy-on-write), so that Page keeps its snapshot — anything
 // that corrupts stored bytes on purpose (bit-rot injection) must go
 // through that byte path, never through a Page's frame.
+//
+// Trim(offset, len) is the device's discard: it frees every whole slot
+// inside the range (partly covered boundary slots keep their bytes), and
+// trimmed slots read as zeros. It is synchronous and free — no latency
+// draw, no stats, no outage check — so a caller that trims space it has
+// already released changes nothing the simulation can observe. A Page
+// still held from ReadPage keeps its frame (frames are refcounted).
 
 #pragma once
 
@@ -177,6 +184,17 @@ class SimBlockDevice : public BlockDevice {
     }
   }
 
+  /// Discard the whole slots inside [offset, offset + len): their frames
+  /// are released and the slots read as zeros. Slots the range covers
+  /// only partly keep their bytes. Synchronous and free (see above).
+  void Trim(uint64_t offset, uint64_t len) {
+    const uint64_t last = (offset + len) / kPageSize;  // exclusive
+    for (uint64_t slot = (offset + kPageSize - 1) / kPageSize; slot < last;
+         slot++) {
+      frames_.erase(slot);
+    }
+  }
+
   /// Bytes of backing memory actually allocated (for size-of-data checks).
   uint64_t allocated_bytes() const { return frames_.size() * kPageSize; }
 
@@ -257,6 +275,13 @@ class ReplicatedBlockDevice : public BlockDevice {
 
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   SimBlockDevice* replica(int i) { return replicas_[i].get(); }
+
+  /// Trim the range on every replica (SimBlockDevice::Trim). A laggard
+  /// replica write still in flight may land afterwards and re-create its
+  /// slots until the range is trimmed again.
+  void Trim(uint64_t offset, uint64_t len) {
+    for (auto& r : replicas_) r->Trim(offset, len);
+  }
 
   /// Attach every replica to the fault hub under one shared site: a
   /// site outage then takes the whole replica set (no quorum), while

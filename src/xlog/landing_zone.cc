@@ -19,6 +19,31 @@ sim::Task<Status> LandingZone::WritePhysical(uint64_t pos, Slice data) {
   co_return s;
 }
 
+void LandingZone::TrimReleased() {
+  uint64_t hi = phys_start_;
+  if (!reads_in_flight_.empty()) hi = std::min(hi, *reads_in_flight_.begin());
+  // Start from the device slot holding trimmed_to_: the last trim had to
+  // keep it because the window still covered part of it. Never reach a
+  // full lap back, into bytes reserved since.
+  uint64_t lo = trimmed_to_ - (trimmed_to_ % capacity_) % kPageSize;
+  if (phys_reserved_end_ > capacity_) {
+    lo = std::max(lo, phys_reserved_end_ - capacity_);
+  }
+  if (hi <= trimmed_to_ || hi <= lo) return;
+  trimmed_to_ = hi;
+  uint64_t off = lo % capacity_;
+  uint64_t len = hi - lo;
+  uint64_t first = std::min<uint64_t>(len, capacity_ - off);
+  // A piece that runs to the end of the buffer also takes the tail of the
+  // last slot, which holds no LZ bytes when the capacity is not a whole
+  // number of slots.
+  uint64_t pad = off + first == capacity_
+                     ? (kPageSize - capacity_ % kPageSize) % kPageSize
+                     : 0;
+  device_->Trim(off, first + pad);
+  if (first < len) device_->Trim(0, len - first);
+}
+
 sim::Task<Status> LandingZone::WriteReserved(Lsn lsn, Slice data) {
   auto it = extents_.find(lsn);
   if (it == extents_.end() || data.size() != it->second.stored_len) {
@@ -78,15 +103,19 @@ sim::Task<Result<std::string>> LandingZone::Read(Lsn from, Lsn to) {
   uint64_t len = p1 - p0;
   uint64_t off = p0 % capacity_;
   uint64_t first = std::min<uint64_t>(len, capacity_ - off);
+  // A truncate while the device read is in flight must not trim the
+  // bytes it is about to return.
+  auto reading = reads_in_flight_.insert(p0);
   std::string raw;
   Status s = co_await device_->Read(off, first, &raw);
-  if (!s.ok()) co_return Result<std::string>(s);
-  if (first < len) {
+  if (s.ok() && first < len) {
     std::string rest;
     s = co_await device_->Read(0, len - first, &rest);
-    if (!s.ok()) co_return Result<std::string>(s);
     raw += rest;
   }
+  reads_in_flight_.erase(reading);
+  TrimReleased();
+  if (!s.ok()) co_return Result<std::string>(s);
   std::string out;
   out.reserve(to - from);
   std::string scratch;

@@ -13,12 +13,19 @@
 // accounting is charged against). An extent index maps each reserved
 // block from one to the other. When every block is stored raw the two
 // streams coincide byte-for-byte with the original fixed layout.
+//
+// Truncation also trims the released physical range on every replica
+// (ReplicatedBlockDevice::Trim), so the replicas hold only the retained
+// window, not every log byte ever written. Trimming is free and never
+// reaches bytes an in-flight Read still has to fetch: the range is
+// trimmed once that read completes.
 
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "common/result.h"
 #include "common/slice.h"
@@ -44,7 +51,8 @@ class LandingZone {
         durable_end_(engine::kLogStreamStart),
         reserved_end_(engine::kLogStreamStart),
         phys_start_(engine::kLogStreamStart),
-        phys_reserved_end_(engine::kLogStreamStart) {}
+        phys_reserved_end_(engine::kLogStreamStart),
+        trimmed_to_(engine::kLogStreamStart) {}
 
   /// Reserve the next logical range for a pipelined write, occupying
   /// `stored_size` physical bytes (the compressed form when `compressed`).
@@ -98,7 +106,8 @@ class LandingZone {
 
   /// Release space up to `lsn` (called once destaging has archived it).
   /// The logical window may start mid-block; physical bytes are freed
-  /// only when a whole stored block falls below the window.
+  /// only when a whole stored block falls below the window, and the
+  /// replicas' slots that hold only freed bytes are trimmed.
   void Truncate(Lsn lsn) {
     if (lsn > start_lsn_) start_lsn_ = std::min(lsn, durable_end_);
     while (!extents_.empty()) {
@@ -107,6 +116,7 @@ class LandingZone {
       phys_start_ = it->second.phys_pos + it->second.stored_len;
       extents_.erase(it);
     }
+    TrimReleased();
   }
 
   Lsn start_lsn() const { return start_lsn_; }
@@ -149,6 +159,10 @@ class LandingZone {
   // splitting at the circular-buffer wrap.
   sim::Task<Status> WritePhysical(uint64_t pos, Slice data);
 
+  // Trim the replicas' slots released since the last trim, up to
+  // phys_start_ or the start of the oldest in-flight Read.
+  void TrimReleased();
+
   uint64_t capacity_;
   double profile_cpu_per_kb_;
   std::unique_ptr<storage::ReplicatedBlockDevice> device_;
@@ -161,6 +175,10 @@ class LandingZone {
   // original lsn-addressed circular buffer.
   uint64_t phys_start_;
   uint64_t phys_reserved_end_;
+  // Physical position up to which released bytes have been trimmed, and
+  // the physical start of each in-flight Read (trimming stops there).
+  uint64_t trimmed_to_;
+  std::multiset<uint64_t> reads_in_flight_;
   uint64_t peak_stored_bytes_ = 0;
   uint64_t logical_bytes_written_ = 0;
   uint64_t stored_bytes_written_ = 0;

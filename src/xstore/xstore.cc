@@ -15,10 +15,9 @@ sim::Task<Status> XStore::Write(const std::string& blob, uint64_t offset,
       sim_, static_cast<SimTime>(static_cast<double>(data.size()) /
                                  bandwidth_mb_s_));
   if (!available()) co_return Status::Unavailable("xstore outage");
-  log_.emplace_back(data.data(), data.size());
   stored_bytes_ += data.size();
-  Blob& b = blobs_[blob];
-  ApplyWrite(&b, offset, log_.size() - 1, data.size());
+  ApplyWrite(&blobs_[blob], offset,
+             std::make_shared<const SegmentData>(data, &retained_bytes_));
   stats_.writes++;
   stats_.bytes_written += data.size();
   co_return Status::OK();
@@ -50,7 +49,7 @@ sim::Task<Result<SnapshotId>> XStore::Snapshot(const std::string& blob) {
     co_return Result<SnapshotId>(Status::NotFound("blob " + blob));
   }
   SnapshotId id = next_snapshot_++;
-  snapshots_[id] = it->second;  // extent table copy; data stays in the log
+  snapshots_[id] = it->second;  // extent table copy; segments are shared
   co_return Result<SnapshotId>(id);
 }
 
@@ -94,8 +93,8 @@ std::string XStore::ReadRaw(const std::string& blob, uint64_t offset,
   return out;
 }
 
-void XStore::ApplyWrite(Blob* b, uint64_t offset, uint64_t segment,
-                        uint64_t length) {
+void XStore::ApplyWrite(Blob* b, uint64_t offset, Segment segment) {
+  const uint64_t length = segment->bytes.size();
   if (length == 0) return;
   const uint64_t end = offset + length;
   ExtentMap& m = b->extents;
@@ -107,20 +106,21 @@ void XStore::ApplyWrite(Blob* b, uint64_t offset, uint64_t segment,
     uint64_t pstart = prev->first;
     uint64_t pend = pstart + prev->second.length;
     if (pend > offset) {
-      Extent old = prev->second;
-      prev->second.length = offset - pstart;
-      if (prev->second.length == 0) m.erase(prev);
       if (pend > end) {
-        // The old extent sticks out past our write; keep its tail.
-        Extent tail = old;
+        // The old extent sticks out past our write; keep its tail (a
+        // second reference to the same segment).
+        Extent tail = prev->second;
         tail.seg_offset += end - pstart;
         tail.length = pend - end;
-        m[end] = tail;
+        m[end] = std::move(tail);
       }
+      prev->second.length = offset - pstart;
+      if (prev->second.length == 0) m.erase(prev);
     }
   }
 
-  // Remove / trim extents starting inside [offset, end).
+  // Remove / trim extents starting inside [offset, end). Erasing an
+  // extent drops its segment reference; the last one frees the bytes.
   it = m.lower_bound(offset);
   while (it != m.end() && it->first < end) {
     uint64_t estart = it->first;
@@ -128,16 +128,16 @@ void XStore::ApplyWrite(Blob* b, uint64_t offset, uint64_t segment,
     if (eend <= end) {
       it = m.erase(it);
     } else {
-      Extent tail = it->second;
+      Extent tail = std::move(it->second);
       tail.seg_offset += end - estart;
       tail.length = eend - end;
       m.erase(it);
-      m[end] = tail;
+      m[end] = std::move(tail);
       break;
     }
   }
 
-  m[offset] = Extent{segment, 0, length};
+  m[offset] = Extent{std::move(segment), 0, length};
   b->size = std::max(b->size, end);
 }
 
@@ -153,9 +153,10 @@ void XStore::ReadInto(const Blob& b, uint64_t offset, uint64_t len,
     uint64_t from = std::max(estart, offset);
     uint64_t to = std::min(eend, end);
     if (from >= to) continue;
-    const std::string& seg = log_[it->second.segment];
     memcpy(out + (from - offset),
-           seg.data() + it->second.seg_offset + (from - estart), to - from);
+           it->second.segment->bytes.data() + it->second.seg_offset +
+               (from - estart),
+           to - from);
   }
 }
 

@@ -1,9 +1,15 @@
 // XStore: simulated Azure Standard Storage — the durable "truth" tier
-// (paper §4.7). Log-structured: every write appends a segment to a global
-// append-only log, and a blob is a metadata map from byte ranges to log
-// segments. That makes snapshots and restores **constant-time metadata
+// (paper §4.7). Log-structured: every write appends an immutable data
+// segment, and a blob is a metadata map from byte ranges to segments.
+// That makes snapshots and restores **constant-time metadata
 // operations** (keep a pointer / copy an extent table), the property
 // Socrates' size-of-data-free backup/restore depends on (§3.5).
+//
+// Extents hold their segment by shared_ptr, so a segment's bytes are
+// freed as soon as no blob or snapshot extent refers to it any more
+// (overwritten, deleted, or replaced by a restore); there is no sweep.
+// Memory is bounded by live data plus what snapshots pin, while
+// stored_bytes() still counts every byte ever appended.
 //
 // Cheap and durable but slow: every operation pays the XStore latency
 // profile. Outage injection models transient Azure Storage failures, which
@@ -12,8 +18,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,12 +52,17 @@ class XStore {
         bandwidth_mb_s_(bandwidth_mb_s),
         rng_(seed) {}
 
+  // Segments point back at retained_bytes_.
+  XStore(const XStore&) = delete;
+  XStore& operator=(const XStore&) = delete;
+
   /// Latency of constant-time metadata operations (snapshot, restore,
   /// delete): independent of blob size by construction.
   static constexpr SimTime kMetaOpLatencyUs = 20000;
 
   /// Write `data` into `blob` at `offset` (creating the blob if needed).
-  /// Appends a segment to the store's log and patches the extent table.
+  /// Appends a segment and patches the extent table; segments that no
+  /// extent refers to afterwards are freed.
   sim::Task<Status> Write(const std::string& blob, uint64_t offset,
                           Slice data);
 
@@ -64,7 +75,8 @@ class XStore {
   sim::Task<Result<SnapshotId>> Snapshot(const std::string& blob);
 
   /// Constant-time restore: materialize `dst` from a snapshot's extent
-  /// table (copy-on-write against the shared log).
+  /// table (sharing the snapshot's segments). Whatever `dst` held before
+  /// is released.
   sim::Task<Status> Restore(SnapshotId snap, const std::string& dst);
 
   sim::Task<Status> Delete(const std::string& blob);
@@ -90,9 +102,14 @@ class XStore {
     chaos_port_.Attach(hub, site);
   }
 
-  /// Total data bytes ever appended to the store log (storage-cost
-  /// accounting for the Table 1 "storage impact" comparison).
+  /// Total data bytes ever appended (cumulative, including overwritten
+  /// and freed segments): storage-cost accounting for the Table 1
+  /// "storage impact" comparison.
   uint64_t stored_bytes() const { return stored_bytes_; }
+
+  /// Bytes of the segments still held, i.e. referenced by some blob or
+  /// snapshot extent: what the store keeps in memory.
+  uint64_t retained_bytes() const { return retained_bytes_; }
 
   const CounterStats& stats() const { return stats_; }
 
@@ -101,10 +118,24 @@ class XStore {
                       uint64_t len) const;
 
  private:
-  // One contiguous range of a blob mapped onto a log segment.
+  // An immutable data segment. Its bytes count toward retained_bytes()
+  // from the append until the last extent referring to it lets go.
+  struct SegmentData {
+    SegmentData(Slice data, uint64_t* retained)
+        : bytes(data.data(), data.size()), retained(retained) {
+      *retained += bytes.size();
+    }
+    ~SegmentData() { *retained -= bytes.size(); }
+    const std::string bytes;
+    uint64_t* const retained;
+  };
+  using Segment = std::shared_ptr<const SegmentData>;
+
+  // One contiguous range of a blob mapped onto a data segment. Splitting
+  // or trimming an extent copies or drops its segment reference.
   struct Extent {
-    uint64_t segment;      // index into log_
-    uint64_t seg_offset;   // offset within the segment
+    Segment segment;
+    uint64_t seg_offset;  // offset within the segment
     uint64_t length;
   };
   // Extent table: key = blob offset of the extent start. Non-overlapping.
@@ -115,8 +146,7 @@ class XStore {
     uint64_t size = 0;
   };
 
-  void ApplyWrite(Blob* b, uint64_t offset, uint64_t segment,
-                  uint64_t length);
+  void ApplyWrite(Blob* b, uint64_t offset, Segment segment);
   void ReadInto(const Blob& b, uint64_t offset, uint64_t len,
                 char* out) const;
 
@@ -126,7 +156,9 @@ class XStore {
   Random rng_;
   chaos::SitePort chaos_port_;
 
-  std::deque<std::string> log_;  // append-only data segments
+  // Declared before the extent tables: segments they free on destruction
+  // still update it.
+  uint64_t retained_bytes_ = 0;
   std::unordered_map<std::string, Blob> blobs_;
   std::unordered_map<SnapshotId, Blob> snapshots_;
   SnapshotId next_snapshot_ = 1;

@@ -4,12 +4,16 @@
 //      another page's image under the wrong page id;
 //  (2) a reader promoting the *stale* SSD image while the eviction spill
 //      of the fresh image was still in flight lost updates.
-// Both manifest only under concurrent access with tiny cache tiers.
+// Both manifest only under concurrent access with tiny cache tiers. A
+// third pins down a failed spill: the SSD index must not describe an
+// image the device never stored.
 
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "chaos/chaos.h"
+#include "common/coding.h"
 #include "engine/buffer_pool.h"
 #include "engine/btree_page.h"
 
@@ -227,6 +231,102 @@ TEST(BufferPoolStressTest, CrashCancelsInflightPrefetch) {
     EXPECT_TRUE(ref.ok());
     *done = true;
   }(sim, pool, &done));
+  sim.Run();
+  EXPECT_TRUE(done);
+}
+
+// An RBPEX outage while victims spill: the SSD slot of a dirty page still
+// holds its previous image, which passes the checksum and page-id checks.
+// The pool must keep the fresh image in memory (dirty) instead of
+// recording it in the SSD index, and a clean victim must leave the node
+// through the eviction callback, so no later GetPage sees a stale or
+// never-written image.
+TEST(BufferPoolStressTest, FailedSpillNeverServesStaleImage) {
+  Simulator sim;
+  FreshFetcher fetcher(sim);
+  BufferPoolOptions opts;
+  opts.mem_pages = 2;
+  opts.ssd_pages = 64;
+  BufferPool pool(sim, opts, &fetcher);
+  chaos::Injector hub;
+  pool.AttachChaos(&hub, "rbpex");
+  std::map<PageId, Lsn> evicted;
+  pool.set_eviction_callback(
+      [&](PageId id, Lsn lsn) { evicted[id] = lsn; });
+
+  bool done = false;
+  Spawn(sim, [](Simulator& s, BufferPool& p, chaos::Injector& h,
+                FreshFetcher& f, std::map<PageId, Lsn>& ev,
+                bool* done) -> Task<> {
+    // Pages 0..3, dirty, counter 1 on page 0; 0 and 1 spill to SSD.
+    for (PageId id = 0; id < 4; id++) {
+      Result<PageRef> ref = p.NewPage(id);
+      EXPECT_TRUE(ref.ok());
+      ref->page()->Format(id, storage::PageType::kBTreeLeaf);
+      EncodeFixed64(ref->page()->data() + 100, id == 0 ? 1 : 0);
+      ref->page()->set_page_lsn(1);
+      ref.value().MarkDirty();
+    }
+    co_await sim::Delay(s, 2000);
+    EXPECT_FALSE(p.InMemory(0));
+    // Promote page 0 and bump it to counter 2; fetch clean page 100.
+    {
+      Result<PageRef> ref = co_await p.GetPage(0);
+      EXPECT_TRUE(ref.ok());
+      if (!ref.ok()) co_return;
+      EncodeFixed64(ref->page()->data() + 100, 2);
+      ref->page()->set_page_lsn(2);
+      ref.value().MarkDirty();
+    }
+    EXPECT_TRUE((co_await p.GetPage(100)).ok());
+    co_await sim::Delay(s, 2000);
+
+    // Outage: every spill from here on fails.
+    h.SetOutage("rbpex", true);
+    for (PageId id = 10; id < 16; id++) {
+      Result<PageRef> ref = p.NewPage(id);
+      EXPECT_TRUE(ref.ok());
+      ref->page()->Format(id, storage::PageType::kBTreeLeaf);
+      ref.value().MarkDirty();
+      co_await sim::Delay(s, 2000);
+    }
+    EXPECT_GT(p.stats().ssd_write_failures, 0u);
+    // The dirty page stayed in memory with its dirty bit; the clean one
+    // left the node entirely.
+    EXPECT_TRUE(p.InMemory(0));
+    EXPECT_GT(p.DirtyGen(0), 0u);
+    EXPECT_FALSE(p.Contains(100));
+    EXPECT_EQ(ev.count(100), 1u);
+    h.SetOutage("rbpex", false);
+
+    Result<PageRef> ref = co_await p.GetPage(0);
+    EXPECT_TRUE(ref.ok());
+    if (ref.ok()) {
+      EXPECT_EQ(DecodeFixed64(ref->page()->cdata() + 100), 2u);
+      EXPECT_EQ(ref->page()->page_lsn(), 2u);
+    }
+    ref = Result<PageRef>(Status::NotFound("released"));
+    // Once the device is back, spills land: page 0's SSD image is fresh.
+    for (PageId id = 20; id < 26; id++) {
+      Result<PageRef> r = p.NewPage(id);
+      EXPECT_TRUE(r.ok());
+      r->page()->Format(id, storage::PageType::kBTreeLeaf);
+      co_await sim::Delay(s, 2000);
+    }
+    EXPECT_FALSE(p.InMemory(0));
+    ref = co_await p.GetPage(0);
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    if (ref.ok()) {
+      EXPECT_EQ(DecodeFixed64(ref->page()->cdata() + 100), 2u);
+    }
+    // The clean page comes back from the fetcher, not a never-written
+    // slot.
+    int fetches = f.fetches_;
+    Result<PageRef> clean = co_await p.GetPage(100);
+    EXPECT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_EQ(f.fetches_, fetches + 1);
+    *done = true;
+  }(sim, pool, hub, fetcher, evicted, &done));
   sim.Run();
   EXPECT_TRUE(done);
 }

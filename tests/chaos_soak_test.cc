@@ -2,7 +2,8 @@
 // tier, partitions, lossy links, gray latency, storage outage windows)
 // runs against a monitored deployment while a workload commits rows.
 // The monitor must repair every crash with no manual intervention, and
-// every acknowledged commit must be readable once the dust settles.
+// every acknowledged commit must be readable once the dust settles, and
+// the storage tier must hold no more than its live data.
 // Fully deterministic per seed — CI runs one seed per matrix job.
 
 #include <gtest/gtest.h>
@@ -37,6 +38,31 @@ void RunSim(Simulator& s, Fn&& fn) {
     if (++guard > 400000000) break;
   }
   ASSERT_TRUE(done) << "driver task did not finish";
+}
+
+// Memory stays bounded by live data under every fault class. XStore
+// holds the LT log archive plus the other blobs' bytes, with a quarter
+// on top for checkpoint segments that are still partly referenced (a
+// store that never frees holds 1.75-2.8x at the end of these seeds).
+// Each LZ replica holds the retained window plus its two partly covered
+// boundary slots (a laggard write that lands after a trim may add back
+// slots; it must not add up).
+void ExpectStorageBounded(Deployment& d, const std::string& lt_blob,
+                          uint64_t seed) {
+  xstore::XStore& xs = d.xstore();
+  uint64_t other_blobs = 0;
+  for (const std::string& b : xs.List("")) {
+    if (b != lt_blob) other_blobs += xs.BlobSize(b);
+  }
+  EXPECT_LE(xs.retained_bytes() - xs.BlobSize(lt_blob),
+            other_blobs + other_blobs / 4)
+      << "seed " << seed;
+  storage::ReplicatedBlockDevice* lz = d.landing_zone().device();
+  for (int r = 0; r < lz->num_replicas(); r++) {
+    EXPECT_LE(lz->replica(r)->allocated_bytes(),
+              d.landing_zone().stored_bytes() + 2 * kPageSize)
+        << "seed " << seed << " replica " << r;
+  }
 }
 
 class ChaosSoak : public ::testing::TestWithParam<int> {};
@@ -147,6 +173,7 @@ TEST_P(ChaosSoak, MonitorKeepsAckedCommitsReadable) {
     }
     (void)co_await e->Commit(reader.get());
     EXPECT_GT(acked.size(), 0u);
+    ExpectStorageBounded(d, o.xlog.lt_blob, seed);
     d.Stop();
   });
 }

@@ -382,6 +382,59 @@ TEST(CheckpointTest, BackupReportsCheckpointVsSnapshotSplit) {
   d.Stop();
 }
 
+// Storage memory under steady overwrites. Each round rewrites the same
+// rows, checkpoints them and lets destaging truncate the landing zone.
+// XStore frees the page images the checkpoints overwrite, so what it
+// holds beyond the LT log archive (which is meant to grow) stays flat
+// from N to 4N rounds; the LZ replicas hold only the retained window.
+struct StorageFootprint {
+  uint64_t xstore_beyond_lt = 0;  // retained bytes minus the LT archive
+  uint64_t lz_replica_max = 0;    // largest replica allocation
+  uint64_t lz_window = 0;         // LZ stored bytes not yet truncated
+};
+
+StorageFootprint MeasureStorage(Deployment& d, const std::string& lt_blob) {
+  StorageFootprint f;
+  uint64_t lt = d.xstore().BlobSize(lt_blob);
+  f.xstore_beyond_lt = d.xstore().retained_bytes() - lt;
+  storage::ReplicatedBlockDevice* lz = d.landing_zone().device();
+  for (int r = 0; r < lz->num_replicas(); r++) {
+    f.lz_replica_max =
+        std::max(f.lz_replica_max, lz->replica(r)->allocated_bytes());
+  }
+  f.lz_window = d.landing_zone().stored_bytes();
+  return f;
+}
+
+TEST(StorageReclaimTest, MemoryStaysBoundedAcrossCheckpointRounds) {
+  Simulator s;
+  DeploymentOptions o = CheckpointDeployment();
+  Deployment d(s, o);
+  const int kRounds = 4;
+  StorageFootprint at_n, at_4n;
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    auto* ps = d.page_server(0);
+    for (int round = 1; round <= 4 * kRounds; round++) {
+      std::string prefix = "r" + std::to_string(round) + "-";
+      co_await LoadRows(d.primary_engine(), 0, 400, prefix);
+      co_await ps->applied_lsn().WaitFor(d.log_client().end_lsn());
+      EXPECT_TRUE((co_await ps->Checkpoint()).ok());
+      co_await sim::Delay(s, 200 * 1000);  // destage + LZ truncation
+      StorageFootprint f = MeasureStorage(d, o.xlog.lt_blob);
+      EXPECT_LE(f.lz_replica_max, f.lz_window + 2 * kPageSize)
+          << "round " << round;
+      if (round == kRounds) at_n = f;
+      if (round == 4 * kRounds) at_4n = f;
+    }
+    co_await VerifyRows(d.primary_engine(), 0, 400,
+                        "r" + std::to_string(4 * kRounds) + "-");
+  });
+  d.Stop();
+  EXPECT_GT(at_n.xstore_beyond_lt, 0u);
+  EXPECT_LE(at_4n.xstore_beyond_lt, at_n.xstore_beyond_lt);
+}
+
 }  // namespace
 }  // namespace service
 }  // namespace socrates

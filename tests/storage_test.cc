@@ -471,6 +471,59 @@ TEST(SimBlockDeviceTest, PageCallsCostExactlyAnEightKiBByteCall) {
   }
 }
 
+TEST(SimBlockDeviceTest, TrimFreesOnlyWholeSlotsAndTheyReadAsZeros) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd());
+  std::string data(4 * kPageSize, '\0');
+  for (size_t i = 0; i < data.size(); i++) {
+    data[i] = static_cast<char>('a' + i % 23);
+  }
+  dev.WriteRaw(0, data.data(), data.size());
+  EXPECT_EQ(dev.allocated_bytes(), 4 * kPageSize);
+  // [100, 3 * kPageSize + 100) covers slots 1 and 2 whole; slots 0 and 3
+  // only in part.
+  dev.Trim(100, 3 * kPageSize);
+  EXPECT_EQ(dev.allocated_bytes(), 2 * kPageSize);
+  std::string got(data.size(), 'x');
+  dev.ReadRaw(0, got.size(), got.data());
+  EXPECT_EQ(got.substr(0, kPageSize), data.substr(0, kPageSize));
+  EXPECT_EQ(got.substr(kPageSize, 2 * kPageSize),
+            std::string(2 * kPageSize, '\0'));
+  EXPECT_EQ(got.substr(3 * kPageSize), data.substr(3 * kPageSize));
+  // A range inside one slot, or empty, frees nothing.
+  dev.Trim(10, kPageSize - 20);
+  dev.Trim(3 * kPageSize, 0);
+  EXPECT_EQ(dev.allocated_bytes(), 2 * kPageSize);
+  // Trim draws no latency and counts no I/O.
+  EXPECT_EQ(s.now(), 0);
+  EXPECT_EQ(dev.stats().writes, 0u);
+  EXPECT_EQ(dev.stats().reads, 0u);
+}
+
+TEST(SimBlockDeviceTest, TrimLeavesOutstandingPageUnchanged) {
+  Simulator s;
+  SimBlockDevice dev(s, DeviceProfile::LocalSsd());
+  Page page = ChecksummedPage(6, 60);
+  Result<Page> before(Status::Unavailable("not run"));
+  Result<Page> after(Status::Unavailable("not run"));
+  Spawn(s, [](SimBlockDevice& d, Page p, Result<Page>* b,
+              Result<Page>* a) -> Task<> {
+    (void)co_await d.WritePage(3 * kPageSize, std::move(p));
+    *b = co_await d.ReadPage(3 * kPageSize);
+    d.Trim(3 * kPageSize, kPageSize);
+    *a = co_await d.ReadPage(3 * kPageSize);
+  }(dev, page, &before, &after));
+  s.Run();
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(before->cdata(), page.cdata());
+  EXPECT_TRUE(before->VerifyChecksum().ok());
+  EXPECT_EQ(before->page_lsn(), 60u);
+  EXPECT_EQ(std::string(after->cdata(), kPageSize),
+            std::string(kPageSize, '\0'));
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+}
+
 // --------------------------------------------------- ReplicatedBlockDevice
 
 TEST(ReplicatedDeviceTest, WriteReachesAllReplicasEventually) {
@@ -486,6 +539,20 @@ TEST(ReplicatedDeviceTest, WriteReachesAllReplicasEventually) {
     char buf[14];
     dev.replica(i)->ReadRaw(512, 14, buf);
     EXPECT_EQ(std::string(buf, 14), "quorum payload") << "replica " << i;
+  }
+}
+
+TEST(ReplicatedDeviceTest, TrimAppliesToEveryReplica) {
+  Simulator s;
+  ReplicatedBlockDevice dev(s, DeviceProfile::Xio(), 3, 2);
+  std::string data(3 * kPageSize, 'r');
+  Spawn(s, [](ReplicatedBlockDevice& d, std::string* p) -> Task<> {
+    (void)co_await d.Write(0, Slice(*p));
+  }(dev, &data));
+  s.Run();
+  dev.Trim(0, 2 * kPageSize);
+  for (int i = 0; i < 3; i++) {
+    EXPECT_EQ(dev.replica(i)->allocated_bytes(), kPageSize) << i;
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/histogram.h"
 #include "engine/log_record.h"
 #include "xlog/landing_zone.h"
@@ -131,6 +133,90 @@ TEST(LandingZoneTest, SurvivesSingleReplicaOutage) {
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(*r, "durable");
   });
+}
+
+// Truncation trims the released range on every replica, so each holds
+// exactly the slots the stored window touches: at most the window plus
+// two partly covered boundary slots, across wraps too. (A capacity that
+// is not a whole number of slots adds its short last slot.) Window reads
+// return exactly the bytes written.
+TEST(LandingZoneTest, TruncateTrimsReplicasToTheWindow) {
+  for (uint64_t capacity : {uint64_t{64 * KiB}, uint64_t{50000}}) {
+    Simulator s;
+    LandingZone lz(s, sim::DeviceProfile::DirectDrive(), capacity);
+    std::string stream;  // every byte written, from kLogStreamStart
+    RunSim(s, [&]() -> Task<> {
+      Lsn pos = kLogStreamStart;
+      Lsn prev_chunk = kLogStreamStart;
+      for (int round = 0; round < 60; round++) {
+        std::string chunk(3000 + 97 * (round % 7), '\0');
+        for (size_t i = 0; i < chunk.size(); i++) {
+          chunk[i] = static_cast<char>(round * 31 + i % 251);
+        }
+        EXPECT_TRUE((co_await lz.Write(pos, Slice(chunk))).ok());
+        stream += chunk;
+        co_await sim::Delay(s, 50 * 1000);  // laggard replica lands too
+        // Keep the last two chunks (whole blocks, so the physical window
+        // of these raw blocks is exactly [start_lsn, reserved_end)).
+        lz.Truncate(prev_chunk);
+        prev_chunk = pos;
+        pos += chunk.size();
+        std::set<uint64_t> window_slots;
+        for (Lsn p = lz.start_lsn(); p < lz.reserved_end(); p++) {
+          window_slots.insert(p % capacity / kPageSize);
+        }
+        for (int r = 0; r < 3; r++) {
+          uint64_t held = lz.device()->replica(r)->allocated_bytes();
+          EXPECT_EQ(held, window_slots.size() * kPageSize)
+              << "capacity " << capacity << " round " << round;
+          if (capacity % kPageSize == 0) {
+            EXPECT_LE(held, lz.stored_bytes() + 2 * kPageSize);
+          }
+        }
+        auto got = co_await lz.Read(lz.start_lsn(), lz.durable_end());
+        EXPECT_TRUE(got.ok());
+        if (got.ok()) {
+          EXPECT_EQ(*got, stream.substr(lz.start_lsn() - kLogStreamStart))
+              << "capacity " << capacity << " round " << round;
+        }
+      }
+      // At least three laps of the buffer went by.
+      EXPECT_GT(pos, 3 * capacity);
+    });
+  }
+}
+
+// A truncate while a Read's device I/O is in flight must not trim the
+// bytes that read is about to return: the range is trimmed once the
+// read completes.
+TEST(LandingZoneTest, TruncateDuringReadKeepsTheBytesItNeeds) {
+  Simulator s;
+  LandingZone lz(s, sim::DeviceProfile::DirectDrive(), 1 * MiB);
+  std::string data(5 * kPageSize, '\0');
+  for (size_t i = 0; i < data.size(); i++) {
+    data[i] = static_cast<char>(1 + i % 250);
+  }
+  const Lsn end = kLogStreamStart + data.size();
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await lz.Write(kLogStreamStart, Slice(data))).ok());
+    co_await sim::Delay(s, 50 * 1000);
+  });
+  Result<std::string> got(Status::Unavailable("not run"));
+  Spawn(s, [](LandingZone* z, Lsn to, Result<std::string>* out) -> Task<> {
+    *out = co_await z->Read(kLogStreamStart, to);
+  }(&lz, end, &got));
+  Spawn(s, [](Simulator* sim, LandingZone* z, Lsn to) -> Task<> {
+    co_await sim::Delay(*sim, 1);  // the read is still in flight
+    z->Truncate(to);
+    EXPECT_EQ(z->stored_bytes(), 0u);
+    EXPECT_GE(z->device()->replica(0)->allocated_bytes(), 5 * kPageSize);
+  }(&s, &lz, end));
+  s.Run();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, data);
+  for (int r = 0; r < 3; r++) {
+    EXPECT_LE(lz.device()->replica(r)->allocated_bytes(), kPageSize);
+  }
 }
 
 // -------------------------------------------------- XLogProcess + client

@@ -257,6 +257,91 @@ TEST(XStoreTest, StoredBytesAccountsAppends) {
   EXPECT_EQ(xs.stored_bytes(), 8u);  // log-structured: both versions stored
 }
 
+// ------------------------------------------------------------ reclaim
+// Extents hold their segments by reference: a segment no blob or
+// snapshot extent uses is freed, so retained_bytes() tracks live data
+// while stored_bytes() keeps counting every append.
+
+TEST(XStoreReclaimTest, OverwritingOneRegionRetainsOneRegionPlusOneSegment) {
+  Simulator s;
+  XStore xs(s);
+  const std::string region(4096, 'r');
+  const int kOverwrites = 50;
+  RunSim(s, [&]() -> Task<> {
+    (void)co_await xs.Write("b", 0, Slice(region));
+    for (int i = 0; i < kOverwrites; i++) {
+      std::string patch(1000, static_cast<char>('a' + i % 26));
+      (void)co_await xs.Write("b", 1000, Slice(patch));
+      // The whole region, rewritten in place, replaces itself.
+      (void)co_await xs.Write("c", 0, Slice(region));
+    }
+  });
+  // "b": the first segment (head and tail still referenced) plus the
+  // latest patch; "c": only its latest write.
+  EXPECT_EQ(xs.retained_bytes(), 4096u + 1000u + 4096u);
+  EXPECT_EQ(xs.stored_bytes(), 4096u + kOverwrites * (1000u + 4096u));
+  std::string want = region;
+  want.replace(1000, 1000, std::string(1000, 'a' + (kOverwrites - 1) % 26));
+  EXPECT_EQ(xs.ReadRaw("b", 0, 4096), want);
+}
+
+TEST(XStoreReclaimTest, SnapshotPinsOldBytesForRestore) {
+  Simulator s;
+  XStore xs(s);
+  Result<SnapshotId> snap(Status::Unavailable("not run"));
+  std::string restored;
+  RunSim(s, [&]() -> Task<> {
+    (void)co_await xs.Write("db", 0, Slice(std::string(2048, 'o')));
+    snap = co_await xs.Snapshot("db");
+    for (int i = 0; i < 10; i++) {
+      (void)co_await xs.Write("db", 0, Slice(std::string(2048, 'n')));
+    }
+    EXPECT_TRUE((co_await xs.Restore(*snap, "pitr")).ok());
+    EXPECT_TRUE((co_await xs.Read("pitr", 0, 2048, &restored)).ok());
+  });
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(restored, std::string(2048, 'o'));
+  EXPECT_EQ(xs.ReadRaw("db", 0, 2048), std::string(2048, 'n'));
+  // The snapshot's segment (shared by "pitr") plus the live one.
+  EXPECT_EQ(xs.retained_bytes(), 2u * 2048);
+}
+
+TEST(XStoreReclaimTest, DeleteAndRestoreOverABlobReleaseSegments) {
+  Simulator s;
+  XStore xs(s);
+  RunSim(s, [&]() -> Task<> {
+    (void)co_await xs.Write("a", 0, Slice(std::string(3000, 'a')));
+    auto snap = co_await xs.Snapshot("a");
+    EXPECT_TRUE(snap.ok());
+    (void)co_await xs.Write("victim", 0, Slice(std::string(5000, 'v')));
+    (void)co_await xs.Write("gone", 0, Slice(std::string(7000, 'g')));
+    EXPECT_EQ(xs.retained_bytes(), 3000u + 5000u + 7000u);
+    (void)co_await xs.Delete("gone");
+    EXPECT_EQ(xs.retained_bytes(), 3000u + 5000u);
+    // Restoring over "victim" drops its old extent table.
+    if (snap.ok()) (void)co_await xs.Restore(*snap, "victim");
+    EXPECT_EQ(xs.retained_bytes(), 3000u);
+  });
+  EXPECT_EQ(xs.ReadRaw("victim", 0, 3000), std::string(3000, 'a'));
+  EXPECT_EQ(xs.BlobSize("victim"), 3000u);
+  EXPECT_EQ(xs.stored_bytes(), 3000u + 5000u + 7000u);
+}
+
+TEST(XStoreReclaimTest, PartlyReferencedSegmentStaysReadable) {
+  Simulator s;
+  XStore xs(s);
+  RunSim(s, [&]() -> Task<> {
+    (void)co_await xs.Write("b", 0, Slice(std::string(100, 'A')));
+    (void)co_await xs.Write("b", 20, Slice(std::string(60, 'B')));
+    // A write covering the middle extent exactly frees its segment.
+    (void)co_await xs.Write("b", 20, Slice(std::string(60, 'C')));
+  });
+  EXPECT_EQ(xs.ReadRaw("b", 0, 100), std::string(20, 'A') +
+                                         std::string(60, 'C') +
+                                         std::string(20, 'A'));
+  EXPECT_EQ(xs.retained_bytes(), 100u + 60u);
+}
+
 }  // namespace
 }  // namespace xstore
 }  // namespace socrates
