@@ -98,15 +98,11 @@ struct RandomPlanOptions {
   int events = 6;
   int num_page_servers = 1;
   int num_secondaries = 0;
-  SimTime min_window_us = 50 * 1000;
+  /// Window faults last from 50 ms up to this.
   SimTime max_window_us = 250 * 1000;
-  SimTime gray_delay_us = 3000;
-  double flaky_drop_prob = 0.3;
+  /// Crashes join the window faults (partitions, flaky links, gray
+  /// latency, storage outages, transient RBIO failures) on the menu.
   bool crashes = true;
-  bool partitions = true;
-  bool gray = true;
-  bool storage_outages = true;
-  bool transient_failures = true;
 };
 
 class FaultPlan {

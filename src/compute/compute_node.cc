@@ -4,6 +4,20 @@
 
 namespace socrates {
 namespace compute {
+namespace {
+
+// Buckets of the Primary's evicted-LSN map (§4.4 freshness floor).
+constexpr size_t kEvictedMapBuckets = 1 << 16;
+// XLOG pull chunk size for the Secondary apply loop and recovery.
+constexpr uint64_t kPullBytes = 1 * MiB;
+// Leaves evaluated per kScanRange chunk (bounds Page Server work and
+// response size per round trip). Computation pushdown itself has no
+// switch: Engine::ScanWhere's cost planner decides per scan, a caller
+// can force the wire with ScanFilter::force_pushdown, and
+// Engine::SetRemoteScanner(nullptr) gives a page-only plan.
+constexpr uint32_t kPushdownMaxPages = 64;
+
+}  // namespace
 
 // One double-buffered XLOG pull in flight (mirrors the Page Server's).
 struct ComputeNode::PendingPull {
@@ -87,8 +101,7 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
 
   engine::PushdownCostModel CostModel() const override {
     engine::PushdownCostModel m;
-    m.leaves_per_frame =
-        static_cast<double>(node_->opts_.pushdown_max_pages);
+    m.leaves_per_frame = static_cast<double>(kPushdownMaxPages);
     return m;
   }
 
@@ -105,7 +118,7 @@ class ComputeNode::PushdownScanner : public engine::RemoteScanner {
     req.start_key = spec.start_key;
     req.end_key = spec.end_key;
     req.limit = spec.limit;
-    req.max_pages = node_->opts_.pushdown_max_pages;
+    req.max_pages = kPushdownMaxPages;
     req.read_ts = spec.read_ts;
     req.predicate = spec.predicate;
     req.projection = spec.projection;
@@ -160,7 +173,7 @@ ComputeNode::ComputeNode(sim::Simulator& sim, Role role,
       sink_(sink),
       opts_(options),
       cpu_(std::make_unique<sim::CpuResource>(sim, options.cpu_cores)),
-      evicted_map_(options.evicted_map_buckets),
+      evicted_map_(kEvictedMapBuckets),
       rpc_rng_(0xfe7c + options.cpu_cores),
       pull_rng_(0x9e0) {
   rbio::RbioClientOptions rbio_opts;
@@ -183,7 +196,9 @@ ComputeNode::ComputeNode(sim::Simulator& sim, Role role,
       [this](PageId id, Lsn lsn) { evicted_map_.Update(id, lsn); });
   applier_ = std::make_unique<engine::RedoApplier>(
       sim, pool_.get(), engine::RedoApplier::MissPolicy::kIgnoreUncached);
-  applier_->ConfigureLanes(opts_.apply_lanes, cpu_.get());
+  // Secondary / recovery apply: page records sharded by PageId across
+  // concurrent lanes (engine::RedoApplier::ConfigureLanes).
+  applier_->ConfigureLanes(engine::RedoApplier::kDefaultLanes, cpu_.get());
   engine_ = std::make_unique<engine::Engine>(
       sim, pool_.get(), role == Role::kPrimary ? sink : nullptr);
   // Scan readahead is safe on both roles: prefetch misses go through
@@ -238,8 +253,7 @@ sim::Task<> ComputeNode::PullTask(std::shared_ptr<PendingPull> pull) {
   // Log shipping distance (zero intra-DC, real for geo-replicas, §6).
   SimTime ship = opts_.pull_latency.Sample(pull_rng_);
   if (ship > 0) co_await sim::Delay(sim_, ship);
-  pull->result = co_await xlog_->Pull(pull->from, std::nullopt,
-                                      opts_.pull_bytes);
+  pull->result = co_await xlog_->Pull(pull->from, std::nullopt, kPullBytes);
   pull->done.Set();
 }
 
@@ -318,7 +332,7 @@ sim::Task<Status> ComputeNode::RecoverPrimary(Lsn replay_from,
   while (applier_->applied_lsn().value() < durable_end) {
     Lsn from = applier_->applied_lsn().value();
     Result<std::vector<xlog::LogBlock>> blocks =
-        co_await xlog_->Pull(from, std::nullopt, opts_.pull_bytes);
+        co_await xlog_->Pull(from, std::nullopt, kPullBytes);
     if (!blocks.ok()) co_return blocks.status();
     if (blocks->empty()) break;
     for (xlog::LogBlock& block : *blocks) {

@@ -127,17 +127,11 @@ struct ComputeOptions {
   /// False degrades RBPEX to a plain (pre-Socrates) buffer-pool
   /// extension whose contents die with the process — the §3.3 ablation.
   bool rbpex_recoverable = true;
-  size_t evicted_map_buckets = 1 << 16;
   sim::LatencyModel rpc_latency =
       sim::DeviceProfile::IntraDcNetwork().read;
   /// One-way latency added per XLOG pull round (log shipping distance).
   /// Intra-DC by default; geo-replicas (§6) set a cross-region profile.
   sim::LatencyModel pull_latency = sim::LatencyModel::Zero();
-  uint64_t pull_bytes = 1 * MiB;
-  /// Redo apply lanes for the Secondary / recovery apply path (page
-  /// records sharded by PageId across concurrent coroutines; see
-  /// engine::RedoApplier::ConfigureLanes). 1 = serial apply.
-  int apply_lanes = 4;
   /// B+-tree sequential-scan readahead: max prefetch window in leaves
   /// (ramps 2 → this on confirmed sequential access, collapses on a
   /// break; 0 disables and reproduces the serial scan exactly). Safe on
@@ -148,12 +142,6 @@ struct ComputeOptions {
   /// MRU prefix into memory in the background (§3.3: failover resumes at
   /// warm-cache speed without waiting for demand misses).
   bool warmup_after_recovery = true;
-  /// Leaves evaluated per kScanRange chunk (bounds Page Server work and
-  /// response size per round trip). Computation pushdown itself has no
-  /// switch here: Engine::ScanWhere's cost planner decides per scan, a
-  /// caller can force the wire with ScanFilter::force_pushdown, and
-  /// Engine::SetRemoteScanner(nullptr) gives a page-only plan.
-  uint32_t pushdown_max_pages = 64;
   /// Simulated RBIO wire bandwidth in MB/s for transfer-time accounting
   /// on request/response legs (0 = infinite — the historical timing,
   /// bit-identical traces).

@@ -69,8 +69,6 @@ class BTreePage {
   uint64_t low_fence() const { return DecodeFixed64(p_->cdata() + 32); }
   uint64_t high_fence() const { return DecodeFixed64(p_->cdata() + 40); }
   PageId right_sibling() const { return DecodeFixed64(p_->cdata() + 48); }
-  void set_right_sibling(PageId id) { EncodeFixed64(p_->data() + 48, id); }
-  void set_high_fence(uint64_t k) { EncodeFixed64(p_->data() + 40, k); }
 
   /// True if `key` belongs on this page per the fence keys.
   bool CoversKey(uint64_t key) const {

@@ -5,6 +5,12 @@
 
 namespace socrates {
 namespace engine {
+namespace {
+
+// Max victims spilled per eviction pass; their SSD writes overlap.
+constexpr size_t kSpillBatchPages = 8;
+
+}  // namespace
 
 struct PageRef::Frame {
   PageId page_id = kInvalidPageId;
@@ -69,9 +75,8 @@ BufferPool::BufferPool(sim::Simulator& sim,
       life_(std::make_shared<LifeToken>()) {
   if (opts_.ssd_pages > 0) {
     ssd_ = std::make_shared<storage::SimBlockDevice>(
-        sim, opts_.ssd_profile, seed);
+        sim, sim::DeviceProfile::LocalSsd(), seed);
   }
-  if (opts_.spill_batch_pages == 0) opts_.spill_batch_pages = 1;
 }
 
 BufferPool::~BufferPool() { life_->alive = false; }
@@ -588,8 +593,7 @@ sim::Task<> BufferPool::EvictionLoop(LifePtr life, uint64_t epoch,
                                      SsdPtr ssd) {
   while (life->alive && life->epoch == epoch &&
          frames_.size() > opts_.mem_pages) {
-    size_t want = std::min(opts_.spill_batch_pages,
-                           frames_.size() - opts_.mem_pages);
+    size_t want = std::min(kSpillBatchPages, frames_.size() - opts_.mem_pages);
     std::vector<std::unique_ptr<Frame>> victims = CollectVictims(want);
     if (victims.empty()) break;  // everything pinned: transient overflow
     stats_.mem_evictions += victims.size();

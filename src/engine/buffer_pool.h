@@ -69,10 +69,6 @@ struct BufferPoolOptions {
   size_t mem_pages = 1024;
   size_t ssd_pages = 0;  // 0 disables the SSD tier
   bool ssd_recoverable = true;  // RBPEX; false = plain BPE lost on crash
-  sim::DeviceProfile ssd_profile = sim::DeviceProfile::LocalSsd();
-  // Max victims spilled per eviction pass; their SSD writes overlap.
-  // 1 reproduces the old one-victim-at-a-time drain.
-  size_t spill_batch_pages = 8;
 };
 
 struct BufferPoolStats {
@@ -217,7 +213,6 @@ class BufferPool {
   /// write still in flight) — good enough for pacing decisions and
   /// metrics; DirtyPages() filters exactly.
   size_t dirty_count() const { return dirty_index_.size(); }
-  uint64_t dirty_bytes() const { return dirty_index_.size() * kPageSize; }
 
   /// Monotonic capture generation for checkpointing: the generation
   /// stamped by the page's most recent MarkDirty (across both tiers);

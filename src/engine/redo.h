@@ -62,6 +62,9 @@ class RedoApplier {
   /// ApplyStream; parallel lanes split the same cost across lanes.
   static constexpr SimTime kApplyCpuFixedUs = 10;
   static constexpr uint64_t kApplyCpuBytesPerUs = 2000;
+  /// Apply lanes every consumer runs with unless it sweeps its own
+  /// (Secondaries and recovery always; Page Servers by default).
+  static constexpr int kDefaultLanes = 4;
 
   RedoApplier(sim::Simulator& sim, BufferPool* pool, MissPolicy policy)
       : sim_(sim), pool_(pool), policy_(policy), applied_lsn_(sim) {}
@@ -106,8 +109,7 @@ class RedoApplier {
   sim::Watermark& applied_lsn() { return applied_lsn_; }
   Timestamp applied_commit_ts() const { return applied_commit_ts_; }
 
-  /// Engine counters carried by the most recent checkpoint record seen.
-  Timestamp checkpoint_commit_ts() const { return checkpoint_commit_ts_; }
+  /// Engine counter carried by the most recent checkpoint record seen.
   PageId checkpoint_next_page_id() const { return checkpoint_next_page_id_; }
 
   uint64_t records_applied() const { return records_applied_; }
@@ -151,7 +153,6 @@ class RedoApplier {
   std::function<bool(PageId)> filter_;
   sim::Watermark applied_lsn_;
   Timestamp applied_commit_ts_ = 0;
-  Timestamp checkpoint_commit_ts_ = 0;
   PageId checkpoint_next_page_id_ = kInvalidPageId;
   uint64_t records_applied_ = 0;
   uint64_t records_skipped_ = 0;

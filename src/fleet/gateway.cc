@@ -2,6 +2,29 @@
 
 namespace socrates {
 namespace fleet {
+namespace {
+
+// Cores of the gateway tier's CPU.
+constexpr int kCpuCores = 16;
+// Token cost of a point-read frame (scans cost GatewayOptions::scan_cost).
+constexpr double kPageCost = 1.0;
+// Extra network hop through the gateway, and gateway CPU, per frame.
+constexpr SimTime kHopLatencyUs = 30;
+constexpr SimTime kCpuPerFrameUs = 2;
+// How long a (tenant, host) pair avoids sending scans after that host
+// shed one with kOverloaded. Mirrors the RBIO client's
+// overload_backoff_us, but scoped to the tenant that tripped it.
+constexpr SimTime kScanBackoffUs = 50 * 1000;
+// Cross-tenant bulk/interactive hold-off: a scan bound for a host that
+// forwarded *another* tenant's point read within this window is shed
+// with kOverloaded. The Page Server's own admission control is reactive
+// — it sheds only once its host is already degraded — so a scan
+// admitted between two point reads still lands its CPU burst on top of
+// the next one. The gateway sees every tenant's traffic and can keep
+// bulk work off an interactive host *before* the collision.
+constexpr SimTime kScanHoldOffUs = 2000;
+
+}  // namespace
 
 sim::Task<Result<std::string>> TenantPort::HandleRbio(
     const std::string& frame) {
@@ -23,7 +46,7 @@ Gateway::Gateway(sim::Simulator& sim, TenantDirectory* directory,
     : sim_(sim),
       directory_(directory),
       opts_(options),
-      cpu_(sim, options.cpu_cores) {}
+      cpu_(sim, kCpuCores) {}
 
 compute::PageServerRouter* Gateway::RouterFor(
     TenantId tenant, const xlog::PartitionMap& pmap) {
@@ -117,8 +140,6 @@ sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
         }
         q.scan_backoff_until.erase(it);
       }
-    }
-    if (is_scan && opts_.scan_hold_off_us > 0) {
       // Bulk yields to interactive: another tenant's point read on this
       // host inside the window means the scan's CPU burst would land on
       // an interactive server. Shed it — the scanner's client falls back
@@ -126,8 +147,7 @@ sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
       auto hp = host_points_.find(port->host_site_);
       if (hp != host_points_.end()) {
         for (const auto& [t, at] : hp->second) {
-          if (t != port->tenant_ &&
-              sim_.now() < at + opts_.scan_hold_off_us) {
+          if (t != port->tenant_ && sim_.now() < at + kScanHoldOffUs) {
             q.scans_shed_holdoff++;
             frames_shed_++;
             co_return EncodeShed("gateway: host serving interactive");
@@ -135,7 +155,7 @@ sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
         }
       }
     }
-    const double cost = is_scan ? opts_.scan_cost : opts_.page_cost;
+    const double cost = is_scan ? opts_.scan_cost : kPageCost;
     Refill(q);
     if (is_scan && q.tokens < cost) {
       const SimTime wait = static_cast<SimTime>(
@@ -165,15 +185,13 @@ sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
     q.scans_forwarded++;
   } else {
     q.points_forwarded++;
-    if (opts_.qos_enabled && opts_.scan_hold_off_us > 0) {
+    if (opts_.qos_enabled) {
       host_points_[port->host_site_][port->tenant_] = sim_.now();
     }
   }
   frames_forwarded_++;
-  co_await cpu_.Consume(opts_.cpu_per_frame_us);
-  if (opts_.hop_latency_us > 0) {
-    co_await sim::Delay(sim_, opts_.hop_latency_us);
-  }
+  co_await cpu_.Consume(kCpuPerFrameUs);
+  co_await sim::Delay(sim_, kHopLatencyUs);
   pageserver::PageServer* target = port->server_;
   Result<std::string> resp = co_await target->HandleRbio(frame);
 
@@ -185,7 +203,7 @@ sim::Task<Result<std::string>> Gateway::Forward(TenantPort* port,
     if (rbio::DecodeResponseStatusPrefix(Slice(*resp), &prefix).ok() &&
         prefix.IsOverloaded()) {
       q.scan_backoff_until[port->host_site_] =
-          sim_.now() + opts_.scan_backoff_us;
+          sim_.now() + kScanBackoffUs;
     }
   }
   co_return resp;

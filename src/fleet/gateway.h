@@ -46,12 +46,11 @@ struct GatewayOptions {
   /// Master switch: off forwards every frame untouched (routing and
   /// epoch fencing stay on — QoS is the only thing disabled).
   bool qos_enabled = true;
-  /// Token refill rate per tenant. Costs are per frame, so with
-  /// page_cost 1 this is roughly "frames per second".
+  /// Token refill rate per tenant. Costs are per frame and a point read
+  /// costs one token, so this is roughly "frames per second".
   double tenant_tokens_per_s = 20000;
   /// Bucket depth: how much burst a tenant may front-load.
   double tenant_burst = 256;
-  double page_cost = 1.0;
   /// Scans are priced as bulk work: one kScanRange frame can occupy a
   /// server for many leaf pages.
   double scan_cost = 16.0;
@@ -59,24 +58,6 @@ struct GatewayOptions {
   /// kOverloaded instead of queued (mirrors the Page Server's own scan
   /// admission deadline). Points are never shed, only paced.
   SimTime max_scan_wait_us = 20 * 1000;
-  /// Extra network hop through the gateway, per frame.
-  SimTime hop_latency_us = 30;
-  /// Gateway CPU per forwarded frame.
-  SimTime cpu_per_frame_us = 2;
-  int cpu_cores = 16;
-  /// How long a (tenant, host) pair avoids sending scans after that host
-  /// shed one with kOverloaded. Mirrors the RBIO client's
-  /// overload_backoff_us, but scoped to the tenant that tripped it.
-  SimTime scan_backoff_us = 50 * 1000;
-  /// Cross-tenant bulk/interactive hold-off: a scan bound for a host
-  /// that forwarded *another* tenant's point read within this window is
-  /// shed with kOverloaded. The Page Server's own admission control is
-  /// reactive — it sheds only once its host is already degraded — so a
-  /// scan admitted between two point reads still lands its CPU burst on
-  /// top of the next one. The gateway sees every tenant's traffic and
-  /// can keep bulk work off an interactive host *before* the collision.
-  /// 0 disables the hold-off.
-  SimTime scan_hold_off_us = 2000;
 };
 
 /// Per-tenant QoS state and counters (read by tests and the bench).
@@ -166,7 +147,6 @@ class Gateway {
   TenantQos& qos(TenantId tenant) { return qos_[tenant]; }
 
   const GatewayOptions& options() const { return opts_; }
-  void set_qos_enabled(bool on) { opts_.qos_enabled = on; }
 
   uint64_t frames_forwarded() const { return frames_forwarded_; }
   uint64_t frames_shed() const { return frames_shed_; }

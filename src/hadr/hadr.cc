@@ -2,6 +2,24 @@
 
 namespace socrates {
 namespace hadr {
+namespace {
+
+// Each node stores the full database on local disk; this is the node
+// storage budget in pages (deployments cannot exceed it — the 4 TB cap
+// of Table 1).
+constexpr size_t kNodeStoragePages = 1 << 20;
+// Secondaries seeded at start (four replicas in all, like the HADR
+// deployments the paper compares against).
+constexpr int kNumSecondaries = 3;
+
+// Intra-DC latency of one log-shipping or seeding leg.
+const sim::LatencyModel& Network() {
+  static const sim::LatencyModel model =
+      sim::DeviceProfile::IntraDcNetwork().write;
+  return model;
+}
+
+}  // namespace
 
 // ------------------------------------------------------------ HadrLogSink
 
@@ -20,7 +38,7 @@ HadrLogSink::HadrLogSink(sim::Simulator& sim, sim::CpuResource* cpu,
       backup_progress_(sim),
       work_(sim),
       log_disk_(std::make_unique<storage::SimBlockDevice>(
-          sim, options.local_log_disk, 0xd15c)) {
+          sim, sim::DeviceProfile::LocalSsd(), 0xd15c)) {
   hardened_.Advance(engine::kLogStreamStart);
   backup_progress_.Advance(engine::kLogStreamStart);
 }
@@ -122,12 +140,10 @@ sim::Task<> HadrLogSink::FlusherLoop() {
       sim::Spawn(sim_, [](HadrLogSink* self, HadrSecondary* s, Lsn start,
                           std::shared_ptr<const std::string> data,
                           std::function<void()> v) -> sim::Task<> {
-        co_await sim::Delay(self->sim_, self->opts_.network.Sample(
-                                            self->rng_));
+        co_await sim::Delay(self->sim_, Network().Sample(self->rng_));
         Status st = co_await s->Receive(start, std::move(data));
         if (st.ok()) {
-          co_await sim::Delay(self->sim_, self->opts_.network.Sample(
-                                              self->rng_));
+          co_await sim::Delay(self->sim_, Network().Sample(self->rng_));
           v();
         }
       }(this, sec, block_start, payload, vote));
@@ -189,13 +205,13 @@ HadrSecondary::HadrSecondary(sim::Simulator& sim,
       opts_(options),
       cpu_(std::make_unique<sim::CpuResource>(sim, options.cpu_cores)),
       log_disk_(std::make_unique<storage::SimBlockDevice>(
-          sim, options.local_log_disk, 0x5ec + index)),
+          sim, sim::DeviceProfile::LocalSsd(), 0x5ec + index)),
       rng_(0x5eed + index) {
   engine::BufferPoolOptions pool_opts;
   pool_opts.mem_pages = options.mem_pages;
   // Full local copy: the "SSD tier" is the node's local disk, sized to
   // hold the entire database.
-  pool_opts.ssd_pages = options.node_storage_pages;
+  pool_opts.ssd_pages = kNodeStoragePages;
   pool_opts.ssd_recoverable = true;
   pool_ = std::make_unique<engine::BufferPool>(sim, pool_opts, nullptr,
                                                0xab + index);
@@ -229,7 +245,7 @@ HadrCluster::HadrCluster(sim::Simulator& sim, xstore::XStore* xstore,
       xstore_(xstore),
       opts_(options),
       cpu_(std::make_unique<sim::CpuResource>(sim, options.cpu_cores)) {
-  for (int i = 0; i < options.num_secondaries; i++) {
+  for (int i = 0; i < kNumSecondaries; i++) {
     secondaries_.push_back(
         std::make_unique<HadrSecondary>(sim, options, i));
     secondary_ptrs_.push_back(secondaries_.back().get());
@@ -238,7 +254,7 @@ HadrCluster::HadrCluster(sim::Simulator& sim, xstore::XStore* xstore,
                                         xstore, options);
   engine::BufferPoolOptions pool_opts;
   pool_opts.mem_pages = options.mem_pages;
-  pool_opts.ssd_pages = options.node_storage_pages;  // full local copy
+  pool_opts.ssd_pages = kNodeStoragePages;  // full local copy
   pool_opts.ssd_recoverable = true;
   pool_ = std::make_unique<engine::BufferPool>(sim, pool_opts, nullptr,
                                                0x11ad);
@@ -264,7 +280,7 @@ sim::Task<Result<SimTime>> HadrCluster::SeedNewSecondary() {
   auto node = std::make_unique<HadrSecondary>(
       sim_, opts_, static_cast<int>(secondaries_.size()));
   Random rng(0x5eed);
-  sim::LatencyModel net = opts_.network;
+  const sim::LatencyModel& net = Network();
   uint64_t copied = 0;
   // Iterate all pages the primary's tree ever allocated.
   PageId end_page = active_engine_->btree()->next_page_id();

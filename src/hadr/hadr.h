@@ -35,17 +35,11 @@ namespace socrates {
 namespace hadr {
 
 struct HadrOptions {
-  int num_secondaries = 3;
-  /// Quorum counts the Primary's local write plus Secondary acks.
+  /// Quorum counts the Primary's local write plus acks from its three
+  /// Secondaries.
   int commit_quorum = 3;
   int cpu_cores = 8;
   size_t mem_pages = 4096;
-  /// Each node stores the full database on local disk; this is the node
-  /// storage budget in pages (deployments cannot exceed it — the 4 TB
-  /// cap of Table 1).
-  size_t node_storage_pages = 1 << 20;
-  sim::LatencyModel network = sim::DeviceProfile::IntraDcNetwork().write;
-  sim::DeviceProfile local_log_disk = sim::DeviceProfile::LocalSsd();
   /// Max bytes of log produced but not yet backed up to XStore before
   /// the Primary stalls (backup egress throttling, §7.4).
   uint64_t max_backup_lag_bytes = 8 * MiB;

@@ -8,11 +8,22 @@
 
 namespace socrates {
 namespace pageserver {
+namespace {
+
+// Aggregate contiguous dirty pages into single XStore writes up to this
+// many pages (§4.6 "aggregate multiple I/Os ... in a single large
+// write").
+constexpr uint64_t kMaxXStoreBatchPages = 64;
+// XLOG pull chunk size.
+constexpr uint64_t kPullBytes = 1 * MiB;
+// Scan admission token bucket capacity (burst allowance).
+constexpr double kScanAdmissionBurst = 2.0;
+// Max admission-queue wait before a scan is shed with kOverloaded.
+constexpr SimTime kScanAdmissionMaxWaitUs = 20 * 1000;
 
 // Foreground-request depth tracking for the checkpoint pacer: counts a
 // request from entry until its coroutine frame unwinds (including all
 // co_return paths).
-namespace {
 struct ScopedInflight {
   explicit ScopedInflight(uint64_t* counter, uint64_t* host = nullptr)
       : counter(counter), host(host) {
@@ -268,7 +279,7 @@ sim::Task<> PageServer::PullTask(std::shared_ptr<PendingPull> pull,
         Status::Unavailable("xlog partitioned"));
   } else {
     pull->result =
-        co_await xlog_->Pull(pull->from, opts_.partition, opts_.pull_bytes);
+        co_await xlog_->Pull(pull->from, opts_.partition, kPullBytes);
   }
   pull->done.Set();
 }
@@ -298,8 +309,7 @@ sim::Task<> PageServer::ApplyLoop(uint64_t epoch) {
         pulled = Result<std::vector<xlog::LogBlock>>(
             Status::Unavailable("xlog partitioned"));
       } else {
-        pulled =
-            co_await xlog_->Pull(from, opts_.partition, opts_.pull_bytes);
+        pulled = co_await xlog_->Pull(from, opts_.partition, kPullBytes);
       }
       pull_wait_us_ += sim_.now() - wait_start;
     }
@@ -613,9 +623,13 @@ sim::Task<Result<std::string>> PageServer::ServeScan(
     uint32_t len;
   };
   std::vector<Tup> tups;
+  // Evaluator CPU per leaf (per page visited + per KB evaluated):
+  // pushdown trades wire bytes for Page Server compute, and this makes
+  // that compute show up in the server's CPU accounting.
+  const sim::DeviceProfile eval = sim::DeviceProfile::PushdownEval();
   const SimTime eval_cpu_us =
-      opts_.pushdown_profile.cpu_per_io_us +
-      static_cast<SimTime>(opts_.pushdown_profile.cpu_per_kb_us *
+      eval.cpu_per_io_us +
+      static_cast<SimTime>(eval.cpu_per_kb_us *
                            (static_cast<double>(kPageSize) / 1024.0));
   bool done = false;
   while (!done) {
@@ -767,9 +781,9 @@ bool PageServer::ServingDegraded() const {
 
 // Gate one kScanRange request. Healthy server: admit immediately, zero
 // added latency. Degraded server: the scan joins a token-bucket queue
-// (refill scan_admission_tokens_per_s, cap scan_admission_burst) and is
+// (refill scan_admission_tokens_per_s, cap kScanAdmissionBurst) and is
 // shed with kOverloaded once waiting any longer cannot yield a token
-// before scan_admission_max_wait_us. The health predicate is re-checked
+// before kScanAdmissionMaxWaitUs. The health predicate is re-checked
 // every wakeup, so scans stop paying the bucket as soon as the point-
 // read burst drains.
 sim::Task<Status> PageServer::AdmitScan() {
@@ -777,7 +791,7 @@ sim::Task<Status> PageServer::AdmitScan() {
   if (!ServingDegraded()) co_return Status::OK();
   scans_queued_++;
   const SimTime start = sim_.now();
-  const SimTime deadline = start + opts_.scan_admission_max_wait_us;
+  const SimTime deadline = start + kScanAdmissionMaxWaitUs;
   while (true) {
     const SimTime now = sim_.now();
     // Lazy refill from elapsed virtual time.
@@ -788,7 +802,7 @@ sim::Task<Status> PageServer::AdmitScan() {
           static_cast<double>(now - scan_tokens_refill_at_) *
           opts_.scan_admission_tokens_per_s / 1e6;
       scan_tokens_ =
-          std::min(opts_.scan_admission_burst, scan_tokens_ + refill);
+          std::min(kScanAdmissionBurst, scan_tokens_ + refill);
     }
     scan_tokens_refill_at_ = now;
     if (!ServingDegraded()) {
@@ -822,19 +836,10 @@ sim::Task<Status> PageServer::AdmitScan() {
 }
 
 bool PageServer::PaceCheckpoint() const {
-  if (opts_.checkpoint_pace_getpage_depth > 0 &&
-      getpage_inflight_ >= opts_.checkpoint_pace_getpage_depth) {
-    return true;
-  }
-  if (opts_.checkpoint_pace_apply_lag_bytes > 0) {
-    uint64_t available = xlog_->available().value();
-    uint64_t applied = applier_->applied_lsn().value();
-    if (available > applied &&
-        available - applied > opts_.checkpoint_pace_apply_lag_bytes) {
-      return true;
-    }
-  }
-  return false;
+  if (getpage_inflight_ >= kPaceGetPageDepth) return true;
+  const uint64_t available = xlog_->available().value();
+  const uint64_t applied = applier_->applied_lsn().value();
+  return available > applied && available - applied > kPaceApplyLagBytes;
 }
 
 sim::Task<> PageServer::CheckpointWriteBatch(
@@ -920,7 +925,7 @@ sim::Task<Status> PageServer::Checkpoint() {
   while (i < dirty.size()) {
     size_t j = i + 1;
     while (j < dirty.size() && dirty[j] == dirty[j - 1] + 1 &&
-           j - i < opts_.max_xstore_batch_pages) {
+           j - i < kMaxXStoreBatchPages) {
       j++;
     }
     co_await sem.Acquire();

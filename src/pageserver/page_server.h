@@ -65,31 +65,16 @@ struct PageServerOptions {
   /// drift apart instead of checkpointing in lockstep and thundering-
   /// herd XStore. 0 restores fixed-period rounds.
   double checkpoint_jitter_frac = 0.1;
-  /// Aggregate contiguous dirty pages into single XStore writes up to
-  /// this many pages (§4.6 "aggregate multiple I/Os ... in a single large
-  /// write").
-  uint64_t max_xstore_batch_pages = 64;
   /// Checkpoint pipeline concurrency: up to this many XStore extent
   /// writes in flight per round (capture → write overlapped across
   /// batches under a semaphore). 1 reproduces the serialized
   /// capture→write→clear loop exactly.
   int checkpoint_inflight_writes = 4;
-  /// Adaptive pacing: collapse checkpoint write concurrency to a single
-  /// in-flight write while this many foreground GetPage requests are
-  /// being served (0 disables the trigger). Checkpoints must never blow
-  /// out serving p99 (§4.6: checkpointing is a Page Server duty exactly
-  /// so it cannot throttle the Primary).
-  uint64_t checkpoint_pace_getpage_depth = 8;
-  /// ...or while the applier lags more than this many log bytes behind
-  /// the XLOG available tail (0 disables the trigger).
-  uint64_t checkpoint_pace_apply_lag_bytes = 4 * MiB;
-  /// XLOG pull chunk size.
-  uint64_t pull_bytes = 1 * MiB;
   int cpu_cores = 4;
   /// Redo apply lanes: page records are sharded by PageId across this
   /// many concurrent apply coroutines (same page -> same lane), so apply
   /// throughput scales with cpu_cores. 1 = the serial applier.
-  int apply_lanes = 4;
+  int apply_lanes = engine::RedoApplier::kDefaultLanes;
   /// Stop applying log at this LSN (point-in-time restore); kMaxLsn =
   /// follow the live tail forever.
   Lsn apply_until = kMaxLsn;
@@ -106,11 +91,6 @@ struct PageServerOptions {
   /// clients degrade batches to per-page singles, at 3 scans fall back
   /// to page-based plans, at 4 v5-vocabulary scans do.
   uint16_t rbio_max_version = rbio::kProtocolVersion;
-  /// CPU pricing for the kScanRange pushdown evaluator (per leaf page
-  /// visited + per KB of leaf data evaluated). Pushdown trades wire bytes
-  /// for Page Server compute; this profile makes that compute show up in
-  /// the server's CPU accounting instead of being free.
-  sim::DeviceProfile pushdown_profile = sim::DeviceProfile::PushdownEval();
 
   // ----- Scan admission (§4.6: scan CPU must not starve the GetPage
   // path). ServeScan work is metered against a serving-health signal —
@@ -118,22 +98,19 @@ struct PageServerOptions {
   // as the checkpoint pacer. While healthy, scans are admitted
   // immediately; while degraded they queue behind a token bucket and are
   // rejected with kOverloaded once the queue wait exceeds its bound (the
-  // client treats that as "fall back locally, back off this endpoint").
+  // client treats that as "fall back locally, back off this endpoint";
+  // the bucket's burst and queue-wait bound are PageServer constants).
   /// Master switch; off = pre-admission behavior (scans always admitted).
   bool scan_admission_enabled = true;
   /// Degraded while this many point reads (GetPage/batch frames,
   /// excluding scans) are in service. Same family as
-  /// checkpoint_pace_getpage_depth. 0 disables the trigger.
+  /// PageServer::kPaceGetPageDepth. 0 disables the trigger.
   uint64_t scan_admission_getpage_depth = 8;
   /// ...or while the recent GetPage service p99 exceeds this (µs over a
   /// sliding window of served point reads). 0 disables the trigger.
   SimTime scan_admission_p99_us = 5000;
   /// Token bucket draining queued scans while degraded: refill rate.
   double scan_admission_tokens_per_s = 100.0;
-  /// Token bucket capacity (burst allowance).
-  double scan_admission_burst = 2.0;
-  /// Max admission-queue wait before a scan is shed with kOverloaded.
-  SimTime scan_admission_max_wait_us = 20 * 1000;
 
   // ----- Fleet colocation (multi-tenant shared hosts).
   /// When set, this server runs on a shared host CPU instead of owning
@@ -151,6 +128,16 @@ struct PageServerOptions {
 
 class PageServer : public rbio::RbioServer {
  public:
+  /// Adaptive checkpoint pacing: a round collapses its write concurrency
+  /// to a single in-flight write while this many foreground GetPage
+  /// requests are in service. Checkpoints must never blow out serving
+  /// p99 (§4.6: checkpointing is a Page Server duty exactly so it cannot
+  /// throttle the Primary).
+  static constexpr uint64_t kPaceGetPageDepth = 8;
+  /// ...or while the applier lags more than this many log bytes behind
+  /// the XLOG available tail.
+  static constexpr uint64_t kPaceApplyLagBytes = 4 * MiB;
+
   PageServer(sim::Simulator& sim, xlog::XLogProcess* xlog,
              xstore::XStore* xstore, const PageServerOptions& options);
   ~PageServer();

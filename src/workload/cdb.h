@@ -20,10 +20,9 @@ namespace socrates {
 namespace workload {
 
 struct CdbOptions {
-  /// Rows per table = multiplier * scale_factor. The paper's SF 20000 is
-  /// a 1 TB database; scale down proportionally.
+  /// Rows per table = CdbWorkload::kRowMultipliers[table] * scale_factor.
+  /// The paper's SF 20000 is a 1 TB database; scale down proportionally.
   uint64_t scale_factor = 100;
-  std::array<uint64_t, 6> row_multipliers{40, 24, 12, 8, 2, 1};
   std::array<uint32_t, 6> payload_bytes{120, 90, 150, 60, 250, 180};
   /// Multiplier on all CPU costs (calibration knob).
   double cpu_scale = 4.0;
@@ -96,6 +95,10 @@ struct CdbMix {
 
 class CdbWorkload : public Workload {
  public:
+  /// Rows per unit of scale factor in each of the six tables.
+  static constexpr std::array<uint64_t, 6> kRowMultipliers{40, 24, 12,
+                                                          8,  2,  1};
+
   CdbWorkload(const CdbOptions& options, const CdbMix& mix)
       : opts_(options), mix_(mix) {}
 
@@ -107,12 +110,7 @@ class CdbWorkload : public Workload {
                               Random* rng) override;
 
   uint64_t TableRows(int table) const {
-    return opts_.row_multipliers[table] * opts_.scale_factor;
-  }
-  uint64_t TotalRows() const {
-    uint64_t total = 0;
-    for (int t = 0; t < 6; t++) total += TableRows(t);
-    return total;
+    return kRowMultipliers[table] * opts_.scale_factor;
   }
   /// Rough database size in bytes after load.
   uint64_t ApproxBytes() const {

@@ -123,8 +123,6 @@ class LandingZone {
   Lsn durable_end() const { return durable_end_; }
   Lsn reserved_end() const { return reserved_end_; }
   uint64_t capacity() const { return capacity_; }
-  /// Logical window size (consumer-visible stream bytes retained).
-  uint64_t used_bytes() const { return reserved_end_ - start_lsn_; }
   /// Physical occupancy: stored bytes reserved and not yet freed. This
   /// is what OutOfSpace is charged against.
   uint64_t stored_bytes() const { return phys_reserved_end_ - phys_start_; }

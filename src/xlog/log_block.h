@@ -46,11 +46,6 @@ struct LogBlock {
   const std::string& payload() const {
     return data_ != nullptr ? *data_ : EmptyPayload();
   }
-  /// Shared handle to the payload bytes (null for empty/filtered blocks);
-  /// lets consumers extend the bytes' lifetime without copying.
-  const std::shared_ptr<const std::string>& payload_ptr() const {
-    return data_;
-  }
   const std::set<PartitionId>& partitions() const {
     return parts_ != nullptr ? *parts_ : EmptyPartitions();
   }

@@ -4,6 +4,16 @@
 
 namespace socrates {
 namespace xlog {
+namespace {
+
+// Consumers hold a lease renewed by ReportProgress; an expired lease
+// stops counting toward MinConsumerProgress so a dead consumer cannot
+// pin log retention forever (§4.3 "leases for log lifetime").
+constexpr SimTime kConsumerLeaseUs = 10 * 1000 * 1000;
+// Local SSD block cache capacity.
+constexpr uint64_t kSsdCacheBytes = 64 * MiB;
+
+}  // namespace
 
 XLogProcess::XLogProcess(sim::Simulator& sim, LandingZone* lz,
                          xstore::XStore* lt, const XLogOptions& options)
@@ -13,7 +23,7 @@ XLogProcess::XLogProcess(sim::Simulator& sim, LandingZone* lz,
       opts_(options),
       available_(sim),
       ssd_cache_(std::make_unique<storage::SimBlockDevice>(
-          sim, options.ssd_profile, /*seed=*/0x10c)),
+          sim, sim::DeviceProfile::LocalSsd(), /*seed=*/0x10c)),
       destage_q_(sim),
       destage_slots_(std::make_unique<sim::Semaphore>(
           sim, std::max(1, options.destage_lanes))),
@@ -215,17 +225,16 @@ sim::Task<> XLogProcess::DestageLoop() {
 sim::Task<> XLogProcess::DestageBatchTask(LogBlock block) {
   const std::string& payload = block.payload();
   // Local SSD block cache: circular over the stream, like the LZ.
-  uint64_t cap = opts_.ssd_cache_bytes;
-  uint64_t off = block.start_lsn % cap;
-  uint64_t first = std::min<uint64_t>(payload.size(), cap - off);
+  uint64_t off = block.start_lsn % kSsdCacheBytes;
+  uint64_t first = std::min<uint64_t>(payload.size(), kSsdCacheBytes - off);
   co_await ssd_cache_->Write(off, Slice(payload.data(), first));
   if (first < payload.size()) {
     co_await ssd_cache_->Write(
         0, Slice(payload.data() + first, payload.size() - first));
   }
   Lsn batch_end = block.start_lsn + payload.size();
-  if (batch_end > ssd_cache_start_ + cap) {
-    ssd_cache_start_ = batch_end - cap;
+  if (batch_end > ssd_cache_start_ + kSsdCacheBytes) {
+    ssd_cache_start_ = batch_end - kSsdCacheBytes;
   }
   // Long-term archive in XStore (cheap, durable, slow). Retry in place on
   // outage: the LZ keeps the batch until the archive write lands, so an
@@ -389,10 +398,9 @@ sim::Task<Result<std::string>> XLogProcess::ReadRange(
   // Tier 1: local SSD block cache.
   if (from >= ssd_cache_start_ && to <= destaged_) {
     (*ssd_ctr)++;
-    uint64_t cap = opts_.ssd_cache_bytes;
-    uint64_t off = from % cap;
+    uint64_t off = from % kSsdCacheBytes;
     uint64_t len = to - from;
-    uint64_t first = std::min<uint64_t>(len, cap - off);
+    uint64_t first = std::min<uint64_t>(len, kSsdCacheBytes - off);
     std::string out, part;
     Status s = co_await ssd_cache_->Read(off, first, &out);
     if (s.ok() && first < len) {
@@ -446,7 +454,7 @@ bool XLogProcess::LeaseLive(int consumer_id) const {
     return false;
   }
   return sim_.now() - consumers_[consumer_id].lease_renewed_at <=
-         opts_.consumer_lease_us;
+         kConsumerLeaseUs;
 }
 
 Lsn XLogProcess::MinConsumerProgress() const {

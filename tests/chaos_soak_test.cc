@@ -173,7 +173,7 @@ TEST_P(ChaosSoak, MonitorKeepsAckedCommitsReadable) {
     }
     (void)co_await e->Commit(reader.get());
     EXPECT_GT(acked.size(), 0u);
-    ExpectStorageBounded(d, o.xlog.lt_blob, seed);
+    ExpectStorageBounded(d, xlog::XLogOptions().lt_blob, seed);
     d.Stop();
   });
 }

@@ -197,6 +197,132 @@ TEST(CheckpointTest, InflightSettingsProduceIdenticalBlobBytes) {
   EXPECT_EQ(pace_stalls[0], 0u);
 }
 
+// Adaptive pacing (§4.6). Rows with ~400-byte values over 4000 keys:
+// the dirty set spans several XStore batches, so a round has writes to
+// overlap (and therefore something to pace).
+DeploymentOptions PacingDeployment(int permits) {
+  DeploymentOptions o = CheckpointDeployment();
+  o.partition_map.pages_per_partition = 1024;
+  o.compute.ssd_pages = 1024;
+  o.page_server.mem_pages = 1024;
+  o.page_server.checkpoint_inflight_writes = permits;
+  return o;
+}
+constexpr uint64_t kPacingRows = 4000;
+
+struct PacedRound {
+  std::string blob;
+  uint64_t stalls = 0;
+  uint64_t batches = 0;
+};
+
+PacedRound ReadRound(Deployment& d) {
+  auto* ps = d.page_server(0);
+  return PacedRound{
+      d.xstore().ReadRaw(ps->data_blob(), 0,
+                         d.xstore().BlobSize(ps->data_blob())),
+      ps->checkpoint_pace_stalls(), ps->checkpoint_batches()};
+}
+
+// A point reader looping over `pages` until the round is over.
+Task<> PointReader(pageserver::PageServer* ps, std::vector<PageId> pages,
+                   size_t offset, const bool* stop) {
+  for (size_t i = offset; !*stop; i++) {
+    (void)co_await ps->GetPageAtLsn(pages[i % pages.size()], 0);
+  }
+}
+
+// GetPage-depth trigger: sixteen point readers on four cores keep at
+// least PageServer::kPaceGetPageDepth reads in service for the whole
+// round.
+PacedRound RunRoundUnderPointReads(int permits) {
+  Simulator s;
+  Deployment d(s, PacingDeployment(permits));
+  PacedRound out;
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    co_await LoadRows(d.primary_engine(), 0, kPacingRows,
+                      std::string(400, 'w'));
+    auto* ps = d.page_server(0);
+    co_await ps->applied_lsn().WaitFor(d.log_client().end_lsn());
+    std::vector<PageId> pages = ps->pool()->DirtyPages();
+    EXPECT_GT(pages.size(), 128u);
+    bool stop = false;
+    uint64_t depth_at_start = 0;
+    auto round = [&]() -> Task<> {
+      co_await sim::Delay(s, 100);  // let the readers queue up first
+      depth_at_start = ps->getpage_inflight();
+      EXPECT_TRUE((co_await ps->Checkpoint()).ok());
+      stop = true;
+    };
+    std::vector<Task<>> tasks;
+    tasks.push_back(round());
+    for (size_t r = 0; r < 16; r++) {
+      tasks.push_back(PointReader(ps, pages, r * 7, &stop));
+    }
+    co_await sim::Gather(s, std::move(tasks));
+    EXPECT_GE(depth_at_start, pageserver::PageServer::kPaceGetPageDepth);
+    EXPECT_TRUE(ps->pool()->DirtyPages().empty());
+    out = ReadRound(d);
+  });
+  d.Stop();
+  return out;
+}
+
+TEST(CheckpointTest, PacingStallsWhilePointReadsQueue) {
+  PacedRound serial = RunRoundUnderPointReads(1);
+  PacedRound paced = RunRoundUnderPointReads(4);
+  EXPECT_GT(paced.batches, 1u);
+  EXPECT_EQ(serial.stalls, 0u);
+  EXPECT_GT(paced.stalls, 0u);
+  ASSERT_FALSE(serial.blob.empty());
+  EXPECT_EQ(serial.blob, paced.blob);
+}
+
+// Applier-lag trigger: the Page Server is stopped while the Primary
+// writes more than PageServer::kPaceApplyLagBytes of log, then
+// restarted and checkpointed while it catches up. A second round after
+// catch-up flushes what apply re-dirtied mid-round, so both runs end at
+// the same final page images.
+PacedRound RunRoundWhileApplyLags(int permits) {
+  Simulator s;
+  Deployment d(s, PacingDeployment(permits));
+  PacedRound out;
+  RunSim(s, [&]() -> Task<> {
+    EXPECT_TRUE((co_await d.Start()).ok());
+    Engine* e = d.primary_engine();
+    co_await LoadRows(e, 0, kPacingRows, std::string(400, 'a'));
+    auto* ps = d.page_server(0);
+    co_await ps->applied_lsn().WaitFor(d.log_client().end_lsn());
+    ps->Stop();
+    for (char fill : {'b', 'c', 'd'}) {
+      co_await LoadRows(e, 0, kPacingRows, std::string(400, fill));
+    }
+    co_await d.xlog().available().WaitFor(d.log_client().end_lsn());
+    EXPECT_TRUE((co_await ps->Start()).ok());
+    const Lsn available = d.xlog().available().value();
+    EXPECT_GT(available - ps->applied_lsn().value(),
+              pageserver::PageServer::kPaceApplyLagBytes);
+    EXPECT_TRUE((co_await ps->Checkpoint()).ok());
+    co_await ps->applied_lsn().WaitFor(d.log_client().end_lsn());
+    EXPECT_TRUE((co_await ps->Checkpoint()).ok());
+    EXPECT_TRUE(ps->pool()->DirtyPages().empty());
+    out = ReadRound(d);
+  });
+  d.Stop();
+  return out;
+}
+
+TEST(CheckpointTest, PacingStallsWhileApplyLags) {
+  PacedRound serial = RunRoundWhileApplyLags(1);
+  PacedRound paced = RunRoundWhileApplyLags(4);
+  EXPECT_GT(paced.batches, 2u);
+  EXPECT_EQ(serial.stalls, 0u);
+  EXPECT_GT(paced.stalls, 0u);
+  ASSERT_FALSE(serial.blob.empty());
+  EXPECT_EQ(serial.blob, paced.blob);
+}
+
 // Satellite (c): crash while extent writes are in flight — some batches
 // land in the data blob, StoreMeta never runs. The restart must replay
 // from the previous restart_lsn and reconstruct correct pages.
@@ -421,7 +547,7 @@ TEST(StorageReclaimTest, MemoryStaysBoundedAcrossCheckpointRounds) {
       co_await ps->applied_lsn().WaitFor(d.log_client().end_lsn());
       EXPECT_TRUE((co_await ps->Checkpoint()).ok());
       co_await sim::Delay(s, 200 * 1000);  // destage + LZ truncation
-      StorageFootprint f = MeasureStorage(d, o.xlog.lt_blob);
+      StorageFootprint f = MeasureStorage(d, xlog::XLogOptions().lt_blob);
       EXPECT_LE(f.lz_replica_max, f.lz_window + 2 * kPageSize)
           << "round " << round;
       if (round == kRounds) at_n = f;

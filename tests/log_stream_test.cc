@@ -311,7 +311,7 @@ TEST(AdaptiveSizingTest, LoneCommitIsNotHeld) {
   // the commit pays only the quorum write, never the hold cap.
   EXPECT_EQ(f.client.adaptive_holds(), 0u);
   EXPECT_LT(committed_at,
-            static_cast<SimTime>(copts.adaptive_hold_cap_us));
+            XLogClient::kAdaptiveHoldCapUs);
 }
 
 TEST(AdaptiveSizingTest, SameSeedSameBlockBoundaries) {
