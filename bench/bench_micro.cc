@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark, real CPU time) for the hot
 // building blocks: CRC32-C, page checksum, slotted-page operations,
-// version-chain codec, log-record codec + redo, Zipf generation, and the
-// simulator substrate itself (event core, coroutine wakes, channel
-// hand-offs, the RBPEX spill/promote round trip, the end-to-end simulated
-// GetPage path).
+// version-chain codec, log-record codec + redo, Zipf generation, the
+// latency histogram, and the simulator substrate itself (event core,
+// coroutine wakes, channel hand-offs, the RBPEX spill/promote round trip,
+// the end-to-end simulated GetPage path).
 //
 // A counting allocator (global operator new/delete overrides, this
 // binary only) reports heap allocations per operation for the substrate
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/histogram.h"
 #include "common/random.h"
 #include "engine/btree_page.h"
 #include "engine/buffer_pool.h"
@@ -193,6 +194,30 @@ void BM_Zipf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Zipf);
+
+// One latency sample per op, plus a per-window roll-up every 1024 samples
+// (copy, merge, clear). Every counter lives inside the Histogram, so none
+// of these allocate.
+void BM_HistogramAddMerge(benchmark::State& state) {
+  Random r(5);
+  std::vector<double> values(4096);
+  for (double& v : values) v = r.LogNormal(4000, 0.6);
+  Histogram window, total;
+  AllocCounter allocs(state);
+  size_t i = 0;
+  for (auto _ : state) {
+    window.Add(values[i++ & 4095]);
+    if ((i & 1023) == 0) {
+      Histogram snapshot = window;
+      total.Merge(snapshot);
+      window.Clear();
+    }
+  }
+  benchmark::DoNotOptimize(total.Percentile(99));
+  state.SetItemsProcessed(state.iterations());
+  allocs.Report(state.iterations());
+}
+BENCHMARK(BM_HistogramAddMerge);
 
 void BM_SimulatorEventLoop(benchmark::State& state) {
   AllocCounter allocs(state);

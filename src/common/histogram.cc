@@ -1,69 +1,37 @@
 #include "common/histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
 namespace socrates {
 
-namespace {
-// Exponential bucket limits: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, ...
-// (LevelDB-style). Built once.
-std::vector<double> BuildLimits(int n) {
-  std::vector<double> limits;
-  limits.reserve(n);
-  double v = 1.0;
-  while (static_cast<int>(limits.size()) < n - 1) {
-    limits.push_back(v);
-    double next = v * 1.15;
-    if (next < v + 1.0) next = v + 1.0;
-    v = next;
-  }
-  limits.push_back(1e200);  // catch-all final bucket
-  return limits;
+size_t Histogram::BucketOf(double value) {
+  if (!(value > 0)) return 0;  // negatives (and NaN) clamp to 0
+  if (value >= 0x1p37) return kOverflow;
+  uint64_t v = static_cast<uint64_t>(value + 0.5);
+  if (v < kExact) return v;
+  int k = std::bit_width(v) - 1;
+  if (k >= kTopBit) return kOverflow;
+  size_t sub = (v >> (k - kSubBits)) & (kSub - 1);
+  return kExact + (k - kExactBits) * kSub + sub;
 }
-const std::vector<double>& Limits() {
-  static const std::vector<double> kLimits = BuildLimits(154);
-  return kLimits;
-}
-}  // namespace
 
-Histogram::Histogram() { Clear(); }
-
-void Histogram::Clear() {
-  min_ = 1e200;
-  max_ = 0;
-  count_ = 0;
-  sum_ = 0;
-  sum_squares_ = 0;
-  buckets_.assign(Limits().size(), 0);
-  exact_ = true;
-  samples_sorted_ = true;
-  samples_.clear();
-  samples_.shrink_to_fit();
+uint64_t Histogram::BucketStart(size_t b) {
+  if (b < kExact) return b;
+  size_t i = b - kExact;
+  int k = kExactBits + static_cast<int>(i >> kSubBits);
+  return (uint64_t{1} << k) + ((i & (kSub - 1)) << (k - kSubBits));
 }
 
 void Histogram::Add(double value) {
-  const auto& limits = Limits();
-  size_t b =
-      std::upper_bound(limits.begin(), limits.end(), value) - limits.begin();
-  if (b >= buckets_.size()) b = buckets_.size() - 1;
-  buckets_[b]++;
+  counts_[BucketOf(value)]++;
   if (value < min_) min_ = value;
   if (value > max_) max_ = value;
   count_++;
   sum_ += value;
   sum_squares_ += value * value;
-  if (exact_) {
-    if (samples_.size() < kExactSampleCap) {
-      samples_.push_back(value);
-      samples_sorted_ = false;
-    } else {
-      exact_ = false;
-      samples_.clear();
-      samples_.shrink_to_fit();
-    }
-  }
 }
 
 void Histogram::Merge(const Histogram& other) {
@@ -72,19 +40,7 @@ void Histogram::Merge(const Histogram& other) {
   count_ += other.count_;
   sum_ += other.sum_;
   sum_squares_ += other.sum_squares_;
-  for (size_t i = 0; i < buckets_.size(); i++) {
-    buckets_[i] += other.buckets_[i];
-  }
-  if (exact_ && other.exact_ &&
-      samples_.size() + other.samples_.size() <= kExactSampleCap) {
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-    samples_sorted_ = false;
-  } else {
-    exact_ = false;
-    samples_.clear();
-    samples_.shrink_to_fit();
-  }
+  for (size_t b = 0; b < counts_.size(); b++) counts_[b] += other.counts_[b];
 }
 
 double Histogram::mean() const {
@@ -100,53 +56,27 @@ double Histogram::stddev() const {
 
 double Histogram::FractionBelow(double v) const {
   if (count_ == 0) return 0.0;
-  const auto& limits = Limits();
   uint64_t below = 0;
-  for (size_t i = 0; i < buckets_.size(); i++) {
-    // Bucket i holds samples <= limits[i]; count buckets whose upper
-    // bound lies below v.
-    if (limits[i] >= v) break;
-    below += buckets_[i];
+  for (size_t b = 0; b < kOverflow && BucketStart(b + 1) - 1 < v; b++) {
+    below += counts_[b];
   }
   return static_cast<double>(below) / static_cast<double>(count_);
 }
 
 double Histogram::Percentile(double p) const {
   if (count_ == 0) return 0.0;
-  if (exact_ && !samples_.empty()) {
-    if (!samples_sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      samples_sorted_ = true;
-    }
-    // Linear interpolation between order statistics.
-    double rank = (p / 100.0) * static_cast<double>(samples_.size() - 1);
-    if (rank <= 0) return samples_.front();
-    size_t lo = static_cast<size_t>(rank);
-    if (lo + 1 >= samples_.size()) return samples_.back();
-    double frac = rank - static_cast<double>(lo);
-    return samples_[lo] + (samples_[lo + 1] - samples_[lo]) * frac;
+  // Nearest rank; the epsilon absorbs rounding in p * n / 100 (99.9 has
+  // no exact binary form).
+  double n = static_cast<double>(count_);
+  uint64_t rank = static_cast<uint64_t>(
+      std::clamp(std::ceil(p * n / 100.0 - 1e-9), 1.0, n));
+  size_t b = 0;
+  for (uint64_t seen = counts_[0]; seen < rank; seen += counts_[++b]) {
   }
-  const auto& limits = Limits();
-  double threshold = static_cast<double>(count_) * (p / 100.0);
-  double cumulative = 0;
-  for (size_t b = 0; b < buckets_.size(); b++) {
-    cumulative += static_cast<double>(buckets_[b]);
-    if (cumulative >= threshold) {
-      // Interpolate within the bucket.
-      double left = (b == 0) ? 0.0 : limits[b - 1];
-      double right = limits[b];
-      double left_count = cumulative - static_cast<double>(buckets_[b]);
-      double pos = buckets_[b] == 0
-                       ? 0.0
-                       : (threshold - left_count) /
-                             static_cast<double>(buckets_[b]);
-      double r = left + (right - left) * pos;
-      if (r < min_) r = min_;
-      if (r > max_) r = max_;
-      return r;
-    }
-  }
-  return max_;
+  if (b == kOverflow) return max_;
+  // Midpoint of the integers that bucket b holds.
+  uint64_t lo = BucketStart(b), hi = BucketStart(b + 1) - 1;
+  return std::clamp((lo + hi) / 2.0, min(), max_);
 }
 
 std::string Histogram::ToString() const {

@@ -288,7 +288,7 @@ class PageServer : public rbio::RbioServer {
   const Histogram& scan_queue_wait_us() const { return scan_queue_wait_us_; }
   /// Recent GetPage service p99 (µs) over the sliding sample window the
   /// admission gate reads; 0 until enough point reads have been served.
-  SimTime recent_getpage_p99_us() const { return RecentGetPageP99Us(); }
+  SimTime RecentGetPageP99Us() const;
   /// Full-lifetime GetPage service-time distribution (freshness wait +
   /// pool read), server side — the interference bench's defended metric.
   const Histogram& getpage_service_us() const { return getpage_service_us_; }
@@ -364,8 +364,6 @@ class PageServer : public rbio::RbioServer {
   // True while the point-read path looks unhealthy (inflight depth or
   // recent p99 over threshold) — scans must queue.
   bool ServingDegraded() const;
-  // Sliding-window p99 of GetPage service time (0 = not enough samples).
-  SimTime RecentGetPageP99Us() const;
   void RecordGetPageServiceTime(SimTime us);
 
   // Hook the current applier's watermark so every Advance wakes exactly

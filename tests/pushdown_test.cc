@@ -1257,7 +1257,7 @@ TEST(ScanAdmissionTest, DegradedServerQueuesScansBehindTokenBucket) {
     // fill the server's GetPage window with slow XStore-bound reads.
     EXPECT_TRUE((co_await d.RestartPrimary()).ok());
     co_await ColdPointReads(d.primary_engine(), 32, 3000);
-    EXPECT_GT(d.page_server(0)->recent_getpage_p99_us(), 2u);
+    EXPECT_GT(d.page_server(0)->RecentGetPageP99Us(), 2u);
     ScanFilter filter;
     filter.predicate = common::ScanPredicate::KeyModEq(16, 1);
     filter.force_pushdown = true;
